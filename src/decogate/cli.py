@@ -220,6 +220,8 @@ def cmd_evolve(args, parser) -> int:
         h = HamiltonianSpec(hm)
     except ValueError as exc:
         parser.error(f"bad hamiltonian: {exc}")
+    if args.points < 1:
+        parser.error("need at least 1 point")
     dim = hm.shape[0]
     rho0 = np.zeros((dim, dim), dtype=complex)
     if args.rho0_eigenbasis:
@@ -229,10 +231,9 @@ def cmd_evolve(args, parser) -> int:
         rho0[0, 0] = 1.0
     t_grid = list(np.linspace(args.t / args.points, args.t, args.points))
     try:
-        cmp = compare_evolutions(h, DensityMatrix(rho0), t_grid, args.tau, args.dt)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cmp = compare_evolutions(h, DensityMatrix(rho0), t_grid, args.tau)
+    except ValueError as exc:
+        parser.error(str(exc))
     lines = ["time,trace_distance,max_offdiag_error"]
     for t, td, off in zip(cmp.times, cmp.trace_distance, cmp.max_offdiag_error):
         lines.append(f"{_fmt(t)},{_fmt(td)},{_fmt(off)}")
@@ -295,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON matrix file: list of rows of [re, im] entries")
     p.add_argument("--t", type=float, required=True, help="final time [s]")
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None, help="integrator step [s]")
     p.add_argument("--points", type=int, default=50, help="output grid size")
     p.add_argument("--rho0-eigenbasis", action="store_true",
                    help="start in the Hamiltonian ground eigenstate")

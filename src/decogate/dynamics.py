@@ -2,9 +2,10 @@
 
 The exact averaged map acts diagonally in the Hamiltonian eigenbasis (decay
 and shift per energy gap); its second-order-in-tau truncation is the familiar
-double-commutator master equation d rho/dt = -i[H, rho] - (tau/2)[H,[H, rho]],
-integrated here with classical RK4.  compare_evolutions quantifies the
-truncation error between the two.
+double-commutator master equation d rho/dt = -i[H, rho] - (tau/2)[H,[H, rho]].
+That equation is linear, time-invariant and diagonal in the same basis, so it
+is solved in closed form per gap w: rho_nm(t) = e^{-i w t - tau w^2 t/2}
+rho_nm(0).  compare_evolutions quantifies the truncation error between the two.
 """
 
 from __future__ import annotations
@@ -50,73 +51,42 @@ class EvolutionComparison:
     max_offdiag_error: list[float] = field(default_factory=list)
 
 
-class ConvergenceError(RuntimeError):
-    """RK4 result changed by more than the tolerance when dt was halved."""
+def _check_domain(times, tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    if not all(math.isfinite(t) and t > 0 for t in times):
+        raise ValueError("times must be finite and positive")
 
 
-def exact_map(h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:
-    """Exact averaged evolution: rotate to the eigenbasis, apply per-gap decay
-    and shift factors, rotate back."""
+def _me2_energy_basis(rho_eig: DensityMatrix, energies, t: float, tau: float) -> DensityMatrix:
+    """Second-order truncation of evolve_energy_basis: the exact solution of the
+    double-commutator master equation, e^{-i w t - tau w^2 t/2} per gap w."""
+    gaps = energies[:, None] - energies[None, :]
+    return DensityMatrix(rho_eig.matrix * np.exp(-1j * gaps * t - 0.5 * tau * gaps**2 * t))
+
+
+def _in_eigenbasis(evolve, h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:
+    """Rotate to the eigenbasis, apply the per-gap factors of `evolve`, rotate back."""
+    _check_domain([t], tau)
     v = h.eigenvectors
     rho_eig = DensityMatrix(v.conj().T @ rho0.matrix @ v)
-    evolved = evolve_energy_basis(rho_eig, h.eigenvalues, t, tau)
+    evolved = evolve(rho_eig, h.eigenvalues, t, tau)
     return DensityMatrix(v @ evolved.matrix @ v.conj().T, basis=rho0.basis)
 
 
-def default_dt(h: HamiltonianSpec, t: float) -> float:
-    norm = h.spectral_norm
-    if norm == 0:
-        return t / 1000.0
-    return min(1e-3 / norm, t / 1000.0)
+def exact_map(h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:
+    """Exact averaged evolution: per-gap decay and shift factors
+    exp[-(t/tau)(log1p(w^2 tau^2)/2 + i arctan(w tau))] in the eigenbasis."""
+    return _in_eigenbasis(evolve_energy_basis, h, rho0, t, tau)
 
 
-def _rhs(hm: np.ndarray, rho: np.ndarray, tau: float) -> np.ndarray:
-    comm = hm @ rho - rho @ hm
-    return -1j * comm - 0.5 * tau * (hm @ comm - comm @ hm)
+def me2_integrate(h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:
+    """Closed-form solution of the second-order phase-destroying master equation.
 
-
-def _rk4_run(hm: np.ndarray, rho: np.ndarray, t: float, tau: float, dt: float) -> np.ndarray:
-    n_steps = max(1, math.ceil(t / dt))
-    step = t / n_steps
-    for _ in range(n_steps):
-        k1 = _rhs(hm, rho, tau)
-        k2 = _rhs(hm, rho + 0.5 * step * k1, tau)
-        k3 = _rhs(hm, rho + 0.5 * step * k2, tau)
-        k4 = _rhs(hm, rho + step * k3, tau)
-        rho = rho + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
-
-
-def me2_integrate(
-    h: HamiltonianSpec,
-    rho0: DensityMatrix,
-    t: float,
-    tau: float,
-    dt: float | None = None,
-    check_convergence: bool = False,
-) -> DensityMatrix:
-    """RK4 integration of the second-order phase-destroying master equation.
-
-    Hermiticity is enforced by symmetrization each step.  With
-    check_convergence=True the run is repeated at dt/2 and a ConvergenceError
-    is raised if the result moves by more than 1e-8 entrywise.
+    The double commutator is a Lindblad dephasing with L = sqrt(tau) H, so the
+    result is a valid density matrix for every t > 0 and tau >= 0.
     """
-    if dt is None:
-        dt = default_dt(h, t)
-    if dt <= 0 or dt > t:
-        raise ValueError("require 0 < dt <= t")
-    if t == 0:
-        return DensityMatrix(rho0.matrix.copy(), basis=rho0.basis)
-    rho = _rk4_run(h.matrix, rho0.matrix.astype(complex), t, tau, dt)
-    if check_convergence:
-        rho_half = _rk4_run(h.matrix, rho0.matrix.astype(complex), t, tau, dt / 2)
-        delta = float(np.max(np.abs(rho - rho_half)))
-        if delta > 1e-8:
-            raise ConvergenceError(
-                f"halving dt changed the result by {delta:.3e} > 1e-8; reduce dt"
-            )
-    return DensityMatrix(rho, basis=rho0.basis)
+    return _in_eigenbasis(_me2_energy_basis, h, rho0, t, tau)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,27 +99,22 @@ def compare_evolutions(
     rho0: DensityMatrix,
     t_grid,
     tau: float,
-    dt: float | None = None,
 ) -> EvolutionComparison:
     """Per-time trace distance and max off-diagonal deviation between the
     exact averaged map and the second-order truncation."""
     t_grid = list(t_grid)
-    if any(t <= 0 for t in t_grid) or any(
-        t_grid[k] >= t_grid[k + 1] for k in range(len(t_grid) - 1)
-    ):
-        raise ValueError("t_grid must be ascending and positive")
-    if dt is None:
-        dt = default_dt(h, t_grid[-1])
-    hm = h.matrix
+    _check_domain(t_grid, tau)
+    if any(t_grid[k] >= t_grid[k + 1] for k in range(len(t_grid) - 1)):
+        raise ValueError("t_grid must be ascending")
+    v = h.eigenvectors
+    rho_eig = DensityMatrix(v.conj().T @ rho0.matrix @ v)
     offdiag_mask = ~np.eye(rho0.dim, dtype=bool)
     dists, offs = [], []
-    rho_me2 = rho0.matrix.astype(complex)
-    t_prev = 0.0
     for t in t_grid:
-        rho_me2 = _rk4_run(hm, rho_me2, t - t_prev, tau, dt)
-        t_prev = t
-        rho_exact = exact_map(h, rho0, t, tau).matrix
-        delta = rho_exact - rho_me2
-        dists.append(trace_distance(rho_exact, rho_me2))
+        exact = evolve_energy_basis(rho_eig, h.eigenvalues, t, tau).matrix
+        me2 = _me2_energy_basis(rho_eig, h.eigenvalues, t, tau).matrix
+        # the trace distance is basis-independent; the off-diagonal error is not
+        dists.append(trace_distance(exact, me2))
+        delta = v @ (exact - me2) @ v.conj().T
         offs.append(float(np.max(np.abs(delta[offdiag_mask]))) if rho0.dim > 1 else 0.0)
     return EvolutionComparison(times=t_grid, trace_distance=dists, max_offdiag_error=offs)

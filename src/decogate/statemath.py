@@ -83,10 +83,12 @@ def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix V) with m = V diag(w) V†.
-    Raises ValueError("not Hermitian") if the input fails the Hermiticity
-    tolerance.
+    Raises ValueError if an entry is not finite or the input fails the
+    Hermiticity tolerance.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entries")
     if hermiticity_error(m) > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("not Hermitian")
     w, v = np.linalg.eigh(m)

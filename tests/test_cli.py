@@ -180,6 +180,39 @@ def test_evolve_non_hermitian_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tau", "nan"],
+        ["--tau=-1e-8"],
+        ["--tau", "inf"],
+        ["--t", "nan"],
+        ["--t", "inf"],
+        ["--t=-1e-5"],
+        ["--points", "0"],
+        ["--points=-2"],
+    ],
+)
+def test_evolve_out_of_domain_flag_is_usage_error(tmp_path, capsys, flags):
+    h = tmp_path / "h.json"
+    _write_hamiltonian(h)
+    argv = ["evolve", "--hamiltonian", str(h), "--t", "1e-5"] + flags
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_evolve_non_finite_hamiltonian_is_usage_error(tmp_path, capsys, bad):
+    h = tmp_path / "h.json"
+    h.write_text(f"[[[0, 0], [{bad}, 0]], [[{bad}, 0], [0, 0]]]")
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--hamiltonian", str(h), "--t", "1e-5"])
+    assert exc.value.code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_validate_small_sample_run(capsys):
     code, out = run(capsys, "validate", "--samples", "20000")
     assert code == 0

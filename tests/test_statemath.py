@@ -73,6 +73,13 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_hermitian_eigen_rejects_non_finite(bad):
+    # NaN compares false, so the Hermiticity check alone would pass it
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigen(np.array([[0.0, bad], [np.conj(bad), 0.0]]))
+
+
 def test_validate_density_accepts_valid_state():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
