@@ -16,7 +16,7 @@ import numpy as np
 from . import validate as validate_mod
 from .bounds import DEFAULT_FEASIBILITY_THRESHOLD, ShorScenario, assess
 from .dynamics import HamiltonianSpec, compare_evolutions
-from .fidelity import Method, fidelity_one_bit, fidelity_two_bit
+from .fidelity import MIN_MC_SAMPLES, Method, fidelity_one_bit, fidelity_two_bit
 from .gates import GateContext
 from .statemath import DensityMatrix
 from .sweep import SweepSpec, fit_loglog_slope, run_sweep
@@ -109,21 +109,24 @@ def _context(args: argparse.Namespace) -> GateContext:
 
 def cmd_fidelity(args, parser) -> int:
     _resolve(args, parser)
-    ctx = _context(args)
     method = Method.ANALYTIC if args.method == "analytic" else Method.MONTE_CARLO
     rng = np.random.default_rng(args.seed)
-    if args.gate == "one-bit":
-        if args.rotation is not None:
-            if args.rotation != "pi":
-                parser.error("only --rotation pi is supported")
-            t = math.pi / ctx.omega
-        elif args.time is not None:
-            t = args.time
+    try:
+        ctx = _context(args)
+        if args.gate == "one-bit":
+            if args.rotation is not None:
+                if args.rotation != "pi":
+                    parser.error("only --rotation pi is supported")
+                t = math.pi / ctx.omega
+            elif args.time is not None:
+                t = args.time
+            else:
+                parser.error("one-bit gate needs --time or --rotation pi")
+            res = fidelity_one_bit(t, ctx, method, args.samples, rng)
         else:
-            parser.error("one-bit gate needs --time or --rotation pi")
-        res = fidelity_one_bit(t, ctx, method, args.samples, rng)
-    else:
-        res = fidelity_two_bit(ctx, method, args.samples, rng)
+            res = fidelity_two_bit(ctx, method, args.samples, rng)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = {
         "gate": args.gate,
         "method": args.method,
@@ -147,9 +150,9 @@ def cmd_sweep(args, parser) -> int:
     _resolve(args, parser)
     if args.points < 2:
         parser.error("need at least 2 points")
-    ctx = _context(args)
     gate = args.gate.replace("-", "_")
     try:
+        ctx = _context(args)
         spec = SweepSpec(
             gate=gate,
             tau_min=args.tau_min,
@@ -222,6 +225,8 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"bad hamiltonian: {exc}")
     if args.points < 1:
         parser.error("need at least 1 point")
+    if not (math.isfinite(args.t) and args.t > 0):
+        parser.error(f"--t must be finite and positive, got {args.t}")
     dim = hm.shape[0]
     rho0 = np.zeros((dim, dim), dtype=complex)
     if args.rho0_eigenbasis:
@@ -243,6 +248,8 @@ def cmd_evolve(args, parser) -> int:
 
 def cmd_validate(args, parser) -> int:
     _resolve(args, parser)
+    if args.samples < MIN_MC_SAMPLES:
+        parser.error(f"--samples must be at least {MIN_MC_SAMPLES}")
     results = validate_mod.run_all(n_samples=args.samples, seed=args.seed)
     width = max(len(r.name) for r in results)
     ok = True

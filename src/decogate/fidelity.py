@@ -6,6 +6,10 @@ ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
 two bits).  Every analytic path here has an independent Monte Carlo and
 quadrature oracle.
+
+Every Monte Carlo estimate runs one chunked loop (`_mc_moments`) over exactly
+the requested number of samples per pulse and reports the per-sample
+standard error; there is no batch count.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .gates import (
     PI,
     UNIVERSAL_SEQUENCE,
     GateContext,
-    composite_action,
+    coupled_pairs,
     ideal_one_bit_gate,
     ideal_two_bit_gate,
     one_bit_unitary,
@@ -185,17 +189,19 @@ def fidelity_one_bit(
     method: Method | str = Method.ANALYTIC,
     n_samples: int = 1_000_000,
     rng: np.random.Generator | None = None,
-    n_batches: int = 50,
 ) -> GateFidelityResult:
     """Averaged one-bit gate fidelity after a rotation of nominal time t."""
     method = Method(method)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
     if method is Method.ANALYTIC:
         f = contract_fidelity(closed_one_bit_tensor(t, ctx), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
         stderr = 0.0
     elif method is Method.MONTE_CARLO:
-        f, stderr = _fidelity_one_bit_mc(t, ctx, n_samples, rng, n_batches)
+        f, stderr = map(float, _mc_moments(
+            (AreaDistribution(t, ctx.tau, ctx.omega),),
+            lambda a: _amp_to_fidelity(_one_bit_amp(a, t, ctx), ONE_BIT_W_DIAG, ONE_BIT_W_OFF),
+            n_samples, rng))
     else:
         f = _fidelity_one_bit_quad(t, ctx)
         stderr = 0.0
@@ -210,41 +216,13 @@ def fidelity_one_bit(
 
 
 def _one_bit_amp(areas: np.ndarray, t: float, ctx: GateContext) -> np.ndarray:
-    """amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i> for batched areas."""
-    c = np.cos(0.5 * areas)
-    s = np.sin(0.5 * areas)
-    u = np.empty(areas.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c
-    u[..., 0, 1] = -1j * np.exp(-1j * ctx.phi) * s
-    u[..., 1, 0] = -1j * np.exp(1j * ctx.phi) * s
-    u[..., 1, 1] = c
-    u_ideal = ideal_one_bit_gate(t, ctx)
-    # amp[n, i, jp] = sum_d conj(u_ideal[d, jp]) * u[n, d, i]
-    return np.einsum("dj,ndi->nij", u_ideal.conj(), u)
-
-
-def _amp_to_fidelity(amp: np.ndarray, w_diag: float, w_off: float) -> float:
-    """Single-sample-set fidelity from amp[n, i, j'] = <j'|U^dag W|i>."""
-    n = amp.shape[0]
-    tensor = np.einsum("nij,nkl->kijl", amp, amp.conj()) / n
-    return contract_fidelity(FidelityTensor.full(tensor), w_diag, w_off)
-
-
-def _fidelity_one_bit_mc(t, ctx, n_samples, rng, n_batches):
-    if rng is None:
-        rng = np.random.default_rng(0)
-    per = max(2, n_samples // n_batches)
-    fids = np.empty(n_batches)
-    for b in range(n_batches):
-        if ctx.tau == 0:
-            areas = np.full(per, ctx.omega * t)
-        else:
-            areas = sample_area(AreaDistribution(t, ctx.tau, ctx.omega), rng, per)
-        amp = _one_bit_amp(areas, t, ctx)
-        fids[b] = _amp_to_fidelity(amp, ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
-    mean = float(fids.mean())
-    stderr = float(fids.std(ddof=1) / math.sqrt(n_batches))
-    return mean, stderr
+    """amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i> for batched areas, with
+    U(A) = cos(A/2) 1 + sin(A/2) B the carrier rotation."""
+    b = np.array([[0.0, -1j * np.exp(-1j * ctx.phi)], [-1j * np.exp(1j * ctx.phi), 0.0]])
+    ideal = ideal_one_bit_gate(t, ctx).conj()
+    # amp[n, i, j'] = cos(A_n/2) conj(U_ideal[i, j']) + sin(A_n/2) (B^T conj(U_ideal))[i, j']
+    cos_part = np.multiply.outer(np.cos(0.5 * areas), ideal)
+    return cos_part + np.multiply.outer(np.sin(0.5 * areas), b.T @ ideal)
 
 
 def _fidelity_one_bit_quad(t: float, ctx: GateContext) -> float:
@@ -266,6 +244,53 @@ def _fidelity_one_bit_quad(t: float, ctx: GateContext) -> float:
 
     tensor = _tensor_from_rbar(rbar, u_ideal, 2)
     return contract_fidelity(tensor, ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+
+
+# --------------------------------------------------------------------------
+# Monte Carlo estimator
+# --------------------------------------------------------------------------
+
+# Fewest samples a Monte Carlo estimate accepts, for every estimator.
+MIN_MC_SAMPLES = 1000
+# Samples drawn and reduced at a time; bounds working memory, not the result.
+_MC_CHUNK = 4096
+
+
+def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | None):
+    """Mean and standard error of statistic(*areas), an (n, ...) array, over
+    exactly n_samples draws of one area from each distribution in dists
+    (tau = 0 is the delta at the mean).
+
+    Chunk means and centred sums of squares are merged with Chan's formula,
+    which unlike a raw sum of squares stays accurate when the statistic
+    barely varies (F near 1).  Complex spreads add in quadrature.
+    """
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples, got {n_samples}")
+    rng = np.random.default_rng(0) if rng is None else rng
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n_samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, n_samples - start)
+        areas = [np.full(n, d.mean) if d.tau == 0 else sample_area(d, rng, n) for d in dists]
+        x = statistic(*areas)
+        x_mean = x.mean(axis=0)
+        delta, share = x_mean - mean, n / (count + n)
+        m2 = m2 + (np.abs(x - x_mean) ** 2).sum(axis=0) + np.abs(delta) ** 2 * count * share
+        mean = mean + delta * share
+        count += n
+    return mean, np.sqrt(m2 / ((count - 1) * count))
+
+
+def _amp_to_fidelity(amp: np.ndarray, w_diag: float, w_off: float) -> np.ndarray:
+    """Per-sample fidelities from amp[n, i, j'] = <j'|U^dag W|i>.
+
+    contract_fidelity applied to one sample's tensor F[i',i,j',j] =
+    amp[i,j'] conj(amp[i',j]) reduces to F_n = w_off (sum_ij |a_ij|^2 +
+    |sum_i a_ii|^2) + (w_diag - 2 w_off) sum_i |a_ii|^2.
+    """
+    p = np.abs(amp) ** 2
+    off = p.sum(axis=(1, 2)) + np.abs(np.einsum("nii->n", amp)) ** 2
+    return w_off * off + (w_diag - 2 * w_off) * np.einsum("nii->n", p)
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +367,6 @@ def fidelity_two_bit(
     method: Method | str = Method.ANALYTIC,
     n_samples: int = 1_000_000,
     rng: np.random.Generator | None = None,
-    n_batches: int = 50,
 ) -> GateFidelityResult:
     """Averaged fidelity of the three-pulse universal two-bit gate.
 
@@ -355,7 +379,10 @@ def fidelity_two_bit(
         f = contract_fidelity(closed_two_bit_tensor(ctx), TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
         stderr = 0.0
     elif method is Method.MONTE_CARLO:
-        return fidelity_mc_two_bit(ctx, n_samples, rng, n_batches=n_batches)
+        f, stderr = map(float, _mc_moments(
+            pulse_distributions(ctx),
+            lambda *a: _amp_to_fidelity(_two_bit_amp(*a), TWO_BIT_W_DIAG, TWO_BIT_W_OFF),
+            n_samples, rng))
     else:
         tensor = quad_two_bit_tensor(ctx)
         f = contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
@@ -370,80 +397,51 @@ def fidelity_two_bit(
     )
 
 
-def _sample_triples(ctx: GateContext, rng: np.random.Generator, n: int):
-    dists = pulse_distributions(ctx)
-    if ctx.tau == 0:
-        return (np.full(n, PI), np.full(n, 2 * PI), np.full(n, PI))
-    return tuple(sample_area(d, rng, n) for d in dists)
+def _two_bit_amp(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+    """amp[n, i, j'] = <j'|U_ideal^dag W(A1, A2, A3)|i> for (n,) area arrays.
 
-
-def _two_bit_amp(ctx: GateContext, rng: np.random.Generator, n: int) -> np.ndarray:
-    """amp[n, i, j'] = <j'|U_ideal^dag W(A1,A2,A3)|i> over sampled triples."""
-    a1, a2, a3 = _sample_triples(ctx, rng, n)
-    states = composite_action(a1, a2, a3)  # (n, 4, 18)
-    u = ideal_two_bit_gate()
-    cols = u[:, list(LOGICAL_INDICES)]  # (18, 4) ideal images of logical states
-    return np.einsum("dj,nid->nij", cols.conj(), states)
+    Each logical column is carried as {basis index: amplitude} through only
+    the coupled_pairs blocks it reaches, never as a dense 18-vector; the
+    dense reference is composite_action.
+    """
+    cols = [{start: 1.0} for start in LOGICAL_INDICES]
+    for step, a in zip(UNIVERSAL_SEQUENCE, (a1, a2, a3)):
+        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
+        off_hi, off_lo = -1j * np.exp(-1j * step.phase) * s, -1j * np.exp(1j * step.phase) * s
+        for hi, lo in coupled_pairs(step):
+            for col in cols:
+                if hi in col or lo in col:
+                    x_hi, x_lo = col.get(hi, 0.0), col.get(lo, 0.0)
+                    col[hi] = c * x_hi + off_hi * x_lo
+                    col[lo] = off_lo * x_hi + c * x_lo
+    ideal = ideal_two_bit_gate()[:, list(LOGICAL_INDICES)].conj()
+    amp = np.zeros((len(a1), 4, 4), dtype=complex)
+    for i, col in enumerate(cols):
+        for d, x in col.items():
+            for j in np.flatnonzero(ideal[d]):
+                amp[:, i, j] += ideal[d, j] * x
+    return amp
 
 
 def mc_two_bit_tensor(
-    ctx: GateContext, n_samples: int, rng: np.random.Generator | None = None,
-    n_batches: int = 20,
+    ctx: GateContext, n_samples: int, rng: np.random.Generator | None = None
 ) -> tuple[FidelityTensor, np.ndarray]:
-    """Monte Carlo estimate of the full 4x4x4x4 tensor with per-element
-    standard errors, by independent triple sampling."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    per = max(2, n_samples // n_batches)
-    batch_vals = np.empty((n_batches, 4, 4, 4, 4), dtype=complex)
-    for b in range(n_batches):
-        amp = _two_bit_amp(ctx, rng, per)
-        batch_vals[b] = np.einsum("nij,nkl->kijl", amp, amp.conj()) / per
-    mean = batch_vals.mean(axis=0)
-    # componentwise stderr combined in quadrature over real and imaginary parts
-    stderr = np.sqrt(
-        batch_vals.real.std(axis=0, ddof=1) ** 2 + batch_vals.imag.std(axis=0, ddof=1) ** 2
-    ) / math.sqrt(n_batches)
+    """Monte Carlo tensor F[i', i, j', j] = E[amp[i, j'] conj(amp[i', j])]
+    and its per-element standard errors."""
+
+    def products(*areas):
+        amp = _two_bit_amp(*areas)
+        return amp[:, None, :, :, None] * amp.conj()[:, :, None, None, :]  # [n, i', i, j', j]
+
+    mean, stderr = _mc_moments(pulse_distributions(ctx), products, n_samples, rng)
     return FidelityTensor.full(mean), stderr
 
 
 def fidelity_mc_two_bit(
-    ctx: GateContext,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-    n_batches: int = 50,
-) -> GateFidelityResult:
-    """Monte Carlo two-bit fidelity via Rbar built from sampled pulse triples."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    per = max(2, n_samples // n_batches)
-    fids = np.empty(n_batches)
-    for b in range(n_batches):
-        amp = _two_bit_amp(ctx, rng, per)
-        fids[b] = _amp_to_fidelity(amp, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
-    mean = float(fids.mean())
-    stderr = float(fids.std(ddof=1) / math.sqrt(n_batches))
-    return GateFidelityResult(
-        fidelity=mean,
-        one_minus_f=1.0 - mean,
-        method=Method.MONTE_CARLO,
-        stderr=stderr,
-        context=ctx,
-        nominal_time=4 * PI / ctx.omega_prime,
-    )
-
-
-def rbar_two_bit_mc(
     ctx: GateContext, n_samples: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Monte Carlo averaged process operators Rbar[i', i] as (4, 4, 18, 18)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    a1, a2, a3 = _sample_triples(ctx, rng, n_samples)
-    states = composite_action(a1, a2, a3)
-    return np.einsum("nid,npe->pide", states, states.conj()) / n_samples
+) -> GateFidelityResult:
+    """Monte Carlo two-bit fidelity over n_samples sampled pulse triples."""
+    return fidelity_two_bit(ctx, Method.MONTE_CARLO, n_samples, rng)
 
 
 def _averaged_pulse_superop(step, dist: AreaDistribution) -> np.ndarray:

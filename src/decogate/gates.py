@@ -35,6 +35,9 @@ class GateContext:
     phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "eta", "tau", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega <= 0:
             raise ValueError("Rabi frequency must be positive")
         if not 0 < self.eta < 1:

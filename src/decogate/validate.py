@@ -207,7 +207,7 @@ def run_all(n_samples: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
         check_kernel_mc(n_samples, seed),
         check_sampler_moments(n_samples, seed),
         check_one_bit_mc(n_samples, seed),
-        check_two_bit_mc(max(n_samples // 10, 10_000), seed),
+        check_two_bit_mc(n_samples, seed),
         check_two_bit_quadrature(),
         check_semigroup(),
         check_diagonal_conservation(),

@@ -37,6 +37,33 @@ def test_fidelity_two_bit_mc(capsys):
     assert doc["one_minus_fidelity"] == pytest.approx(2.634e-5, rel=0.05)
 
 
+@pytest.mark.parametrize("gate", [["one-bit", "--rotation", "pi"], ["two-bit"]])
+@pytest.mark.parametrize("samples", ["-5", "0", "999"])
+def test_fidelity_mc_too_few_samples_is_usage_error(capsys, gate, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--gate", *gate, "--method", "mc", "--samples", samples])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("method", ["analytic", "mc"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gate", "two-bit", "--tau", "nan"],
+        ["--gate", "two-bit", "--omega", "inf"],
+        ["--gate", "two-bit", "--eta", "nan"],
+        ["--gate", "one-bit", "--time", "nan"],
+        ["--gate", "one-bit", "--time", "inf"],
+    ],
+)
+def test_fidelity_non_finite_parameter_is_usage_error(capsys, method, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--method", method, "--samples", "2000", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_fidelity_requires_time_or_rotation():
     with pytest.raises(SystemExit) as exc:
         main(["fidelity", "--gate", "one-bit"])
@@ -83,6 +110,15 @@ def test_sweep_bad_range_is_usage_error():
         main(["sweep", "--gate", "one-bit", "--tau-min", "1e-8",
               "--tau-max", "1e-10", "--points", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--omega", "nan"], ["--eta", "inf"]])
+def test_sweep_non_finite_parameter_is_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--gate", "one-bit", "--tau-min", "1e-10",
+              "--tau-max", "1e-8", "--points", "5", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_shor_four_bit_report(capsys):
@@ -193,6 +229,7 @@ def test_evolve_non_hermitian_is_usage_error(tmp_path):
         ["--points=-2"],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_evolve_out_of_domain_flag_is_usage_error(tmp_path, capsys, flags):
     h = tmp_path / "h.json"
     _write_hamiltonian(h)
@@ -211,6 +248,13 @@ def test_evolve_non_finite_hamiltonian_is_usage_error(tmp_path, capsys, bad):
         main(["evolve", "--hamiltonian", str(h), "--t", "1e-5"])
     assert exc.value.code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_validate_too_few_samples_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--samples", "999"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_validate_small_sample_run(capsys):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import decogate.fidelity as fidelity_mod
+from decogate.decoherence import AreaDistribution, sample_area
 from decogate.fidelity import (
+    MIN_MC_SAMPLES,
     ONE_BIT_W_DIAG,
     ONE_BIT_W_OFF,
     TWO_BIT_W_DIAG,
@@ -22,10 +25,14 @@ from decogate.fidelity import (
     pulse_distributions,
     quad_two_bit_tensor,
     rbar_one_bit,
-    rbar_two_bit_mc,
 )
-from decogate.gates import GateContext
-from decogate.statemath import validate_density
+from decogate.gates import (
+    UNIVERSAL_SEQUENCE,
+    GateContext,
+    composite_action,
+    ideal_two_bit_gate,
+)
+from decogate.statemath import LOGICAL_INDICES, validate_density
 
 
 CTX = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8)  # Omega*tau = 1e-3
@@ -185,6 +192,12 @@ def test_two_bit_quadrature_matches_closed_form():
     assert np.abs(closed.values[mask] - quad.values[mask]).max() < 1e-9
 
 
+def rbar_two_bit_mc(ctx, n_samples, rng):
+    """Monte Carlo averaged process operators Rbar[i', i] as (4, 4, 18, 18)."""
+    states = composite_action(*(sample_area(d, rng, n_samples) for d in pulse_distributions(ctx)))
+    return np.einsum("nid,npe->pide", states, states.conj()) / n_samples
+
+
 def test_rbar_two_bit_mc_diagonal_is_valid_density():
     rng = np.random.default_rng(3)
     rbar = rbar_two_bit_mc(CTX, 20_000, rng)
@@ -193,6 +206,93 @@ def test_rbar_two_bit_mc_diagonal_is_valid_density():
         assert report.hermiticity_error < 1e-10
         assert report.trace_error < 1e-10
         assert report.min_eigenvalue > -1e-10
+
+
+# --- Monte Carlo estimator --------------------------------------------------
+
+MC_ESTIMATORS = {
+    "one_bit": (
+        lambda n, rng: fidelity_one_bit(T_PI, CTX, Method.MONTE_CARLO, n, rng),
+        (AreaDistribution(T_PI, CTX.tau, CTX.omega),),
+    ),
+    "two_bit": (lambda n, rng: fidelity_mc_two_bit(CTX, n, rng), pulse_distributions(CTX)),
+    "tensor": (lambda n, rng: mc_two_bit_tensor(CTX, n, rng), pulse_distributions(CTX)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_ESTIMATORS))
+@pytest.mark.parametrize("n_samples", [MIN_MC_SAMPLES, 4097])
+def test_mc_draws_exactly_the_requested_samples(monkeypatch, name, n_samples):
+    estimate, pulses = MC_ESTIMATORS[name]
+    calls = []
+
+    def spy(dist, rng, n=1):
+        calls.append((dist, n))
+        return sample_area(dist, rng, n)
+
+    monkeypatch.setattr(fidelity_mod, "sample_area", spy)
+    estimate(n_samples, np.random.default_rng(4))
+    # pulses are drawn in sequence order within each chunk
+    assert [d for d, _ in calls] == list(pulses) * (len(calls) // len(pulses))
+    per_pulse = [sum(n for _, n in calls[k :: len(pulses)]) for k in range(len(pulses))]
+    assert per_pulse == [n_samples] * len(pulses)
+
+
+@pytest.mark.parametrize("name", sorted(MC_ESTIMATORS))
+@pytest.mark.parametrize("n_samples", [-5, 0, MIN_MC_SAMPLES - 1])
+def test_mc_rejects_too_few_samples(name, n_samples):
+    estimate, _ = MC_ESTIMATORS[name]
+    with pytest.raises(ValueError, match="samples"):
+        estimate(n_samples, np.random.default_rng(0))
+
+
+def test_mc_delta_limit_is_exact():
+    ctx0 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=0.0)
+    one = fidelity_one_bit(math.pi / ctx0.omega, ctx0, Method.MONTE_CARLO, MIN_MC_SAMPLES)
+    for res in (one, fidelity_mc_two_bit(ctx0, MIN_MC_SAMPLES)):
+        assert abs(res.fidelity - 1.0) < 1e-12
+        assert res.stderr < 1e-12
+
+
+def test_mc_moments_merge_without_cancellation():
+    # F_n = 1 - 1e-9 A_n: a raw sum of F^2 would lose the whole variance
+    dist = AreaDistribution(T_PI, CTX.tau, CTX.omega)
+    n = 3 * fidelity_mod._MC_CHUNK + 17
+    mean, stderr = fidelity_mod._mc_moments(
+        (dist,), lambda a: 1.0 - 1e-9 * a, n, np.random.default_rng(5))
+    direct = 1.0 - 1e-9 * sample_area(dist, np.random.default_rng(5), n)
+    assert mean == pytest.approx(direct.mean(), abs=1e-15)
+    assert stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(n), rel=1e-6, abs=0)
+
+
+def test_per_sample_fidelity_is_the_tensor_contraction():
+    rng = np.random.default_rng(6)
+    amp = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    per_sample = fidelity_mod._amp_to_fidelity(amp, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+    for a, f in zip(amp, per_sample):
+        tensor = FidelityTensor.full(np.einsum("ij,kl->kijl", a, a.conj()))
+        want = contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+        assert f == pytest.approx(want, rel=1e-13)
+
+
+def _dense_two_bit_amp(a1, a2, a3):
+    cols = ideal_two_bit_gate()[:, list(LOGICAL_INDICES)]
+    return np.einsum("dj,nid->nij", cols.conj(), composite_action(a1, a2, a3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_bit_amp_matches_dense_composition(seed):
+    rng = np.random.default_rng(seed)
+    areas = [rng.uniform(0.0, 4 * math.pi, 256) for _ in range(3)]
+    sparse = fidelity_mod._two_bit_amp(*areas)
+    assert np.abs(sparse - _dense_two_bit_amp(*areas)).max() < 1e-13
+
+
+def test_two_bit_amp_at_nominal_areas_is_identity():
+    areas = [np.array([step.nominal_area]) for step in UNIVERSAL_SEQUENCE]
+    sparse = fidelity_mod._two_bit_amp(*areas)
+    assert np.abs(sparse - _dense_two_bit_amp(*areas)).max() < 1e-13
+    assert np.abs(sparse[0] - np.eye(4)).max() < 1e-13
 
 
 # --- limits -------------------------------------------------------------------

@@ -37,6 +37,15 @@ def test_context_validation():
         GateContext(omega=1e5, eta=0.1, n_ions=20, tau=-1e-8)
 
 
+@pytest.mark.parametrize("field", ["omega", "eta", "tau", "phi"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_context_rejects_non_finite(field, bad):
+    params = dict(omega=1e5, eta=0.1, n_ions=20, tau=1e-8, phi=0.0)
+    params[field] = bad
+    with pytest.raises(ValueError, match=field):
+        GateContext(**params)
+
+
 def test_omega_prime():
     ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8)
     assert ctx.omega_prime == pytest.approx(0.1 * 1e5 / math.sqrt(20), rel=1e-15)
