@@ -10,8 +10,10 @@ from .decoherence import (
     averaged_phase_factor,
     decay_rates,
     evolve_energy_basis,
+    gamma_char,
     kernel_integrals,
     mc_average,
+    one_minus_re,
     pdf_area,
     pdf_time,
     quad_average,

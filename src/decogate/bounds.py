@@ -29,6 +29,9 @@ class ShorScenario:
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("bit count must be at least 1")
+        for name in ("omega", "eta", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega <= 0 or self.eta <= 0:
             raise ValueError("physical parameters must be positive")
         if self.tau < 0:
@@ -55,8 +58,8 @@ def assess(
     s: ShorScenario, feasibility_threshold: float = DEFAULT_FEASIBILITY_THRESHOLD
 ) -> FeasibilityReport:
     """Derive the feasibility report for a single algorithm run."""
-    if feasibility_threshold <= 0:
-        raise ValueError("feasibility threshold must be positive")
+    if not (math.isfinite(feasibility_threshold) and feasibility_threshold > 0):
+        raise ValueError(f"feasibility threshold must be finite and positive, got {feasibility_threshold}")
     n_ions = 5 * s.bits
     omega_prime = s.eta * s.omega / math.sqrt(n_ions)
     gamma = 2.0 * omega_prime**2 * s.tau

@@ -186,8 +186,10 @@ def cmd_shor(args, parser) -> int:
     _resolve(args, parser)
     if args.bits < 1:
         parser.error("--bits must be at least 1")
-    scenario = ShorScenario(bits=args.bits, omega=args.omega, eta=args.eta, tau=args.tau)
-    report = assess(scenario, args.threshold)
+    try:
+        report = assess(ShorScenario(args.bits, args.omega, args.eta, args.tau), args.threshold)
+    except ValueError as exc:
+        parser.error(str(exc))
     _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 

@@ -41,10 +41,7 @@ class TimeDistribution:
     tau: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("nominal time t must be positive")
-        if self.tau < 0:
-            raise ValueError("scaling time tau must be nonnegative")
+        _check_time_scales(self.t, self.tau)
 
     @property
     def shape(self) -> float:
@@ -84,12 +81,9 @@ class AreaDistribution:
     omega_mean: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("nominal time t must be positive")
-        if self.tau < 0:
-            raise ValueError("scaling time tau must be nonnegative")
-        if self.omega_mean <= 0:
-            raise ValueError("mean frequency must be positive")
+        _check_time_scales(self.t, self.tau)
+        if not (math.isfinite(self.omega_mean) and self.omega_mean > 0):
+            raise ValueError(f"mean frequency must be finite and positive, got {self.omega_mean}")
 
     @property
     def shape(self) -> float:
@@ -117,6 +111,13 @@ class AreaDistribution:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return sample_area(self, rng, n)
+
+
+def _check_time_scales(t: float, tau: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"nominal time t must be finite and positive, got {t}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"scaling time tau must be finite and nonnegative, got {tau}")
 
 
 def _gamma_log_pdf(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
@@ -154,6 +155,26 @@ def sample_area(d: AreaDistribution, rng: np.random.Generator, n: int = 1) -> np
     return rng.gamma(d.shape, d.scale, size=n)
 
 
+def gamma_char(omega, t: float, tau: float):
+    """Characteristic function E[e^{i omega t'}] = (1 - i omega tau)^(-t/tau) of
+    t' ~ Gamma(shape t/tau, scale tau) as (log modulus, angle) =
+    (-(t/tau) log1p(omega^2 tau^2)/2, (t/tau) arctan(omega tau)), on the
+    principal branch for any t/tau; tau = 0 is the delta limit (0, omega t).
+    omega may be an array; t and tau must be finite and nonnegative."""
+    if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
+        raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
+    if tau == 0:
+        return np.zeros(np.shape(omega)), omega * t
+    k, x = t / tau, omega * tau
+    return -0.5 * k * np.log1p(x * x), k * np.arctan(x)
+
+
+def one_minus_re(log_modulus, angle):
+    """1 - e^l cos(a) as -expm1(l) + 2 e^l sin^2(a/2): non-negative terms, so
+    no cancellation as the value goes to 0."""
+    return -np.expm1(log_modulus) + 2.0 * np.exp(log_modulus) * np.sin(0.5 * angle) ** 2
+
+
 @dataclass(frozen=True)
 class DecayChannel:
     """Decay rate and shifted frequency of one energy-gap coherence."""
@@ -165,30 +186,16 @@ class DecayChannel:
 
 def decay_rates(omega_nm: float, tau: float) -> DecayChannel:
     """Decay rate gamma = ln(1 + w^2 tau^2)/(2 tau) and shifted frequency
-    nu = arctan(w tau)/tau; tau = 0 returns the unitary limits (0, w)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0:
-        return DecayChannel(omega_nm=omega_nm, gamma=0.0, nu=omega_nm)
-    gamma = 0.5 / tau * math.log1p((omega_nm * tau) ** 2)
-    nu = math.atan(omega_nm * tau) / tau
-    return DecayChannel(omega_nm=omega_nm, gamma=gamma, nu=nu)
+    nu = arctan(w tau)/tau, the characteristic function over unit time;
+    tau = 0 gives the unitary limits (0, w)."""
+    log_modulus, angle = gamma_char(omega_nm, 1.0, tau)
+    return DecayChannel(omega_nm=omega_nm, gamma=-float(log_modulus), nu=float(angle))
 
 
 def averaged_phase_factor(omega: float, t: float, tau: float) -> complex:
-    """Gamma-averaged phase e^{-gamma t} e^{-i nu t} = E[e^{-i omega t'}].
-
-    Evaluated in polar form (principal branch) so large t/tau never hits a
-    branch cut: exp[-(t/tau)(ln(1+w^2 tau^2)/2 + i arctan(w tau))].
-    """
-    if t < 0 or tau < 0:
-        raise ValueError("t and tau must be nonnegative")
-    if tau == 0:
-        return complex(math.cos(omega * t), -math.sin(omega * t))
-    k = t / tau
-    return complex(
-        np.exp(-k * (0.5 * math.log1p((omega * tau) ** 2) + 1j * math.atan(omega * tau)))
-    )
+    """Gamma-averaged phase e^{-gamma t} e^{-i nu t} = E[e^{-i omega t'}]."""
+    log_modulus, angle = gamma_char(-omega, t, tau)
+    return complex(np.exp(log_modulus + 1j * angle))
 
 
 def evolve_energy_basis(
@@ -205,14 +212,8 @@ def evolve_energy_basis(
         raise ValueError(
             f"energies length {energies.shape} does not match dimension {rho0.dim}"
         )
-    gaps = energies[:, None] - energies[None, :]
-    if tau == 0:
-        factors = np.exp(-1j * gaps * t)
-    else:
-        k = t / tau
-        factors = np.exp(
-            -k * (0.5 * np.log1p((gaps * tau) ** 2) + 1j * np.arctan(gaps * tau))
-        )
+    log_modulus, angle = gamma_char(energies[None, :] - energies[:, None], t, tau)
+    factors = np.exp(log_modulus + 1j * angle)
     # exact 1 on the diagonal regardless of rounding in the general expression
     np.fill_diagonal(factors, 1.0)
     return DensityMatrix(rho0.matrix * factors, basis=rho0.basis)
@@ -232,29 +233,19 @@ class KernelValues:
 
 
 def kernel_integrals(t: float, omega_prime: float, tau: float) -> KernelValues:
-    """Closed forms of the averaged pulse kernels; exact-pulse limits at tau=0."""
-    if t < 0 or tau < 0:
-        raise ValueError("t and tau must be nonnegative")
-    if tau == 0:
-        half = 0.5 * omega_prime * t
-        return KernelValues(
-            c1=math.cos(half),
-            s1=math.sin(half),
-            c2=math.cos(half) ** 2,
-            s2=math.sin(half) ** 2,
-            z=0.5 * math.sin(omega_prime * t),
-        )
-    k = t / tau
-    x = omega_prime * tau
-    decay_full = math.exp(-0.5 * k * math.log1p(x * x))
-    ang_full = k * math.atan(x)
-    c2 = 0.5 * (1.0 + decay_full * math.cos(ang_full))
-    z = 0.5 * decay_full * math.sin(ang_full)
-    decay_half = math.exp(-0.5 * k * math.log1p(0.25 * x * x))
-    ang_half = k * math.atan(0.5 * x)
-    c1 = decay_half * math.cos(ang_half)
-    s1 = decay_half * math.sin(ang_half)
-    return KernelValues(c1=c1, s1=s1, c2=c2, s2=1.0 - c2, z=z)
+    """Closed forms of the averaged pulse kernels from the characteristic
+    function of the area A at the half and the full angle; exact-pulse limits
+    at tau = 0.  C2 and S2 are (1 +- E[cos A])/2, each without cancellation."""
+    w = np.array([omega_prime, 0.5 * omega_prime])
+    (l_full, l_half), (a_full, a_half) = gamma_char(w, t, tau)
+    r_half = math.exp(l_half)
+    return KernelValues(
+        c1=r_half * math.cos(a_half),
+        s1=r_half * math.sin(a_half),
+        c2=0.5 * float(one_minus_re(l_full, a_full + math.pi)),
+        s2=0.5 * float(one_minus_re(l_full, a_full)),
+        z=0.5 * math.exp(l_full) * math.sin(a_full),
+    )
 
 
 def mc_average(f, d: AreaDistribution, n: int, rng: np.random.Generator):

@@ -75,8 +75,8 @@ def _in_eigenbasis(evolve, h: HamiltonianSpec, rho0: DensityMatrix, t: float, ta
 
 
 def exact_map(h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:
-    """Exact averaged evolution: per-gap decay and shift factors
-    exp[-(t/tau)(log1p(w^2 tau^2)/2 + i arctan(w tau))] in the eigenbasis."""
+    """Exact averaged evolution: per-gap decay and shift factors E[e^{-i w t'}]
+    (decoherence.gamma_char) in the eigenbasis."""
     return _in_eigenbasis(evolve_energy_basis, h, rho0, t, tau)
 
 

@@ -23,6 +23,9 @@ import numpy as np
 from .decoherence import (
     QUAD_ABS_TOL,
     AreaDistribution,
+    gamma_char,
+    kernel_integrals,
+    one_minus_re,
     quad_average_matrix,
     sample_area,
 )
@@ -106,16 +109,9 @@ ONE_BIT_W_DIAG = 3.0 / 8.0
 ONE_BIT_W_OFF = 1.0 / 8.0
 
 
-def _area_char(dist: AreaDistribution | None, omega: float, t: float, tau: float):
-    """E[cos A] and E[sin A] under the area distribution (s = 1 moments of the
-    characteristic function (1 - i s Omega tau)^{-t/tau})."""
-    if tau == 0:
-        return math.cos(omega * t), math.sin(omega * t)
-    k = t / tau
-    theta = omega * tau
-    decay = math.exp(-0.5 * k * math.log1p(theta * theta))
-    ang = k * math.atan(theta)
-    return decay * math.cos(ang), decay * math.sin(ang)
+def _carrier_b(phi: float) -> np.ndarray:
+    """B in the carrier rotation U(A) = cos(A/2) 1 + sin(A/2) B."""
+    return np.array([[0.0, -1j * np.exp(-1j * phi)], [-1j * np.exp(1j * phi), 0.0]])
 
 
 def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray:
@@ -123,47 +119,27 @@ def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray
     rotation, in closed form via the Gamma characteristic function."""
     if i not in (0, 1) or i_prime not in (0, 1):
         raise ValueError("state indices must be 0 or 1")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    # U entries written as alpha*cos(A/2) + beta*sin(A/2)
-    alpha = np.eye(2, dtype=complex)
-    beta = np.array(
-        [
-            [0.0, -1j * np.exp(-1j * ctx.phi)],
-            [-1j * np.exp(1j * ctx.phi), 0.0],
-        ],
-        dtype=complex,
+    k = kernel_integrals(t, ctx.omega, ctx.tau)
+    # U|i> = cos(A/2) e_i + sin(A/2) B e_i, so the average of the outer
+    # product weighs the four column products by C2, S2, Z, Z
+    e, b = np.eye(2), _carrier_b(ctx.phi)
+    ei, bi, ej, bj = e[:, i], b[:, i], e[:, i_prime].conj(), b[:, i_prime].conj()
+    return k.c2 * np.outer(ei, ej) + k.s2 * np.outer(bi, bj) + k.z * (
+        np.outer(ei, bj) + np.outer(bi, ej)
     )
-    if t == 0:
-        e_cos, e_sin = 1.0, 0.0
-    else:
-        e_cos, e_sin = _area_char(None, ctx.omega, t, ctx.tau)
-    e_c2 = 0.5 * (1.0 + e_cos)
-    e_s2 = 0.5 * (1.0 - e_cos)
-    e_cs = 0.5 * e_sin
-    out = np.empty((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            aa = alpha[a, i] * np.conj(alpha[b, i_prime])
-            bb = beta[a, i] * np.conj(beta[b, i_prime])
-            ab = alpha[a, i] * np.conj(beta[b, i_prime]) + beta[a, i] * np.conj(
-                alpha[b, i_prime]
-            )
-            out[a, b] = aa * e_c2 + bb * e_s2 + ab * e_cs
-    return out
+
+
+def _one_minus_f0000(t: float, ctx: GateContext) -> float:
+    """1 - E[cos^2((A - Omega t)/2)] = (1 - e^l cos(angle - Omega t))/2 with
+    (l, angle) the characteristic function of the carrier area A."""
+    log_modulus, angle = gamma_char(ctx.omega, t, ctx.tau)
+    return 0.5 * float(one_minus_re(log_modulus, angle - ctx.omega * t))
 
 
 def f0000_one_bit(t: float, ctx: GateContext) -> float:
     """Closed form of the averaged overlap E[cos^2((A - Omega t)/2)], the
     single independent tensor element of the one-bit gate."""
-    if ctx.tau == 0:
-        return 1.0
-    k = t / ctx.tau
-    theta = ctx.omega * ctx.tau
-    decay = math.exp(-0.5 * k * math.log1p(theta * theta))
-    ang = k * math.atan(theta)
-    wt = ctx.omega * t
-    return 0.5 * (1.0 + decay * (math.cos(wt) * math.cos(ang) + math.sin(wt) * math.sin(ang)))
+    return 1.0 - _one_minus_f0000(t, ctx)
 
 
 def _tensor_from_rbar(rbar_fn, u_ideal: np.ndarray, n_states: int) -> FidelityTensor:
@@ -194,20 +170,21 @@ def fidelity_one_bit(
     method = Method(method)
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
+    stderr = 0.0
     if method is Method.ANALYTIC:
-        f = contract_fidelity(closed_one_bit_tensor(t, ctx), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
-        stderr = 0.0
+        # the contraction weights reduce the tensor to F = 1/4 + (3/4) f0000
+        one_minus_f = 0.75 * _one_minus_f0000(t, ctx)
     elif method is Method.MONTE_CARLO:
         f, stderr = map(float, _mc_moments(
             (AreaDistribution(t, ctx.tau, ctx.omega),),
             lambda a: _amp_to_fidelity(_one_bit_amp(a, t, ctx), ONE_BIT_W_DIAG, ONE_BIT_W_OFF),
             n_samples, rng))
+        one_minus_f = 1.0 - f
     else:
-        f = _fidelity_one_bit_quad(t, ctx)
-        stderr = 0.0
+        one_minus_f = 1.0 - _fidelity_one_bit_quad(t, ctx)
     return GateFidelityResult(
-        fidelity=f,
-        one_minus_f=1.0 - f,
+        fidelity=1.0 - one_minus_f,
+        one_minus_f=one_minus_f,
         method=method,
         stderr=stderr,
         context=ctx,
@@ -218,7 +195,7 @@ def fidelity_one_bit(
 def _one_bit_amp(areas: np.ndarray, t: float, ctx: GateContext) -> np.ndarray:
     """amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i> for batched areas, with
     U(A) = cos(A/2) 1 + sin(A/2) B the carrier rotation."""
-    b = np.array([[0.0, -1j * np.exp(-1j * ctx.phi)], [-1j * np.exp(1j * ctx.phi), 0.0]])
+    b = _carrier_b(ctx.phi)
     ideal = ideal_one_bit_gate(t, ctx).conj()
     # amp[n, i, j'] = cos(A_n/2) conj(U_ideal[i, j']) + sin(A_n/2) (B^T conj(U_ideal))[i, j']
     cos_part = np.multiply.outer(np.cos(0.5 * areas), ideal)
@@ -300,9 +277,15 @@ def _amp_to_fidelity(amp: np.ndarray, w_diag: float, w_off: float) -> np.ndarray
 TWO_BIT_W_DIAG = 1.0 / 8.0
 TWO_BIT_W_OFF = 1.0 / 24.0
 
-_EXCHANGE_20 = ((2, 0), (2, 1), (0, 2), (1, 2))
-_EXCHANGE_30 = ((3, 0), (3, 1), (0, 3), (1, 3))
-_EXCHANGE_32 = ((3, 2), (2, 3))
+# Closed-form families of the two-bit tensor, each of ideal value 1: the
+# contraction weight of each entry and the entries F[i', i, j', j] it fixes.
+_TWO_BIT_FAMILIES = {
+    "2222": (TWO_BIT_W_DIAG, ((2, 2, 2, 2),)),
+    "3333": (TWO_BIT_W_DIAG, ((3, 3, 3, 3),)),
+    "20": (TWO_BIT_W_OFF, tuple((ip, j, j, ip) for ip, j in ((2, 0), (2, 1), (0, 2), (1, 2)))),
+    "30": (TWO_BIT_W_OFF, tuple((ip, j, j, ip) for ip, j in ((3, 0), (3, 1), (0, 3), (1, 3)))),
+    "32": (TWO_BIT_W_OFF, ((3, 2, 2, 3), (2, 3, 3, 2))),
+}
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
@@ -317,48 +300,49 @@ def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
     )
 
 
+def _two_bit_defects(ctx: GateContext) -> dict[str, float]:
+    """Defects 1 - F of the closed-form two-bit tensor families as sums of
+    non-negative terms: exact rearrangements of F2222 = C2^2 + S2^2 C2' -
+    2 Z^2 C1', F3333 = C2^2 + S2^2 - 2 Z^2, F20 = C1^2 - S1^2 C1', F30 = S1^2
+    - C1^2 and F32 = Z^2 (1 + C1') - C2^2 - S2^2 C1' in the pi-pulse kernels
+    and the 2pi-pulse ones (primed).  The 2pi pulse's characteristic function
+    is the pi pulse's squared, which gives d1 = 1 + C1' and d2 = 1 - C2' in
+    terms of e = 1 - |E e^{iA}|^2 at the half and the full angle."""
+    wp = ctx.omega_prime
+    k = kernel_integrals(PI / wp, wp, ctx.tau)
+    (l_full, l_half), _ = gamma_char(np.array([wp, 0.5 * wp]), PI / wp, ctx.tau)
+    e_full, e_half = -math.expm1(2 * l_full), -math.expm1(2 * l_half)
+    d1 = e_half + 2 * k.c1**2
+    d2 = 0.5 * e_full + 4 * k.z**2
+    return {
+        "2222": 0.5 * e_full + k.s2**2 * d2 + 2 * k.z**2 * d1,
+        "3333": d2,
+        "20": e_half + k.s1**2 * d1,
+        "30": d1,
+        "32": 2 * k.c2**2 + 0.5 * e_full + k.z**2 * (2 - d1) + k.s2**2 * d1,
+    }
+
+
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Closed-form elements of the two-bit fidelity tensor.
 
     All elements entering the fidelity contraction are fixed: the diagonal
-    family, the exchange families, and the vanishing cross-population
-    elements.  Remaining elements are left unknown (NaN).
+    family, the exchange families (ideal value 1 minus their defect), and the
+    vanishing cross-population elements.  Remaining elements are left
+    unknown (NaN).
     """
-    from .decoherence import kernel_integrals
-
-    wp = ctx.omega_prime
-    kp = kernel_integrals(PI / wp, wp, ctx.tau)
-    k2 = kernel_integrals(2 * PI / wp, wp, ctx.tau)
-    c2p, s2p, zp, c1p, s1p = kp.c2, kp.s2, kp.z, kp.c1, kp.s1
-    c2_2pi = k2.c2
-    c1_2pi = k2.c1
-
     values = np.full((4, 4, 4, 4), np.nan, dtype=complex)
     known = np.zeros((4, 4, 4, 4), dtype=bool)
 
-    def put(ip, i, jp, j, val):
-        values[ip, i, jp, j] = val
-        known[ip, i, jp, j] = True
+    def put(entries, val):
+        for e in entries:
+            values[e] = val
+            known[e] = True
 
-    put(0, 0, 0, 0, 1.0)
-    put(1, 1, 1, 1, 1.0)
-    put(1, 0, 0, 1, 1.0)
-    put(0, 1, 1, 0, 1.0)
-    put(2, 2, 2, 2, c2p**2 + s2p**2 * c2_2pi - 2 * zp**2 * c1_2pi)
-    put(3, 3, 3, 3, c2p**2 + s2p**2 - 2 * zp**2)
-    f20 = c1p**2 - s1p**2 * c1_2pi
-    for ip, jj in _EXCHANGE_20:
-        put(ip, jj, jj, ip, f20)
-    f30 = -(c1p**2) + s1p**2
-    for ip, jj in _EXCHANGE_30:
-        put(ip, jj, jj, ip, f30)
-    f32 = -(c2p**2) - s2p**2 * c1_2pi + zp**2 + zp**2 * c1_2pi
-    for ip, jj in _EXCHANGE_32:
-        put(ip, jj, jj, ip, f32)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                put(i, i, j, j, 0.0)
+    put([(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)], 1.0)
+    for name, defect in _two_bit_defects(ctx).items():
+        put(_TWO_BIT_FAMILIES[name][1], 1.0 - defect)
+    put([(i, i, j, j) for i in range(4) for j in range(4) if i != j], 0.0)
     return FidelityTensor(n_states=4, values=values, known=known)
 
 
@@ -375,21 +359,22 @@ def fidelity_two_bit(
     """
     method = Method(method)
     nominal_time = 4 * PI / ctx.omega_prime
+    stderr = 0.0
     if method is Method.ANALYTIC:
-        f = contract_fidelity(closed_two_bit_tensor(ctx), TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
-        stderr = 0.0
+        defects = _two_bit_defects(ctx)
+        one_minus_f = float(sum(w * len(e) * defects[n] for n, (w, e) in _TWO_BIT_FAMILIES.items()))
     elif method is Method.MONTE_CARLO:
         f, stderr = map(float, _mc_moments(
             pulse_distributions(ctx),
             lambda *a: _amp_to_fidelity(_two_bit_amp(*a), TWO_BIT_W_DIAG, TWO_BIT_W_OFF),
             n_samples, rng))
+        one_minus_f = 1.0 - f
     else:
         tensor = quad_two_bit_tensor(ctx)
-        f = contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
-        stderr = 0.0
+        one_minus_f = 1.0 - contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
     return GateFidelityResult(
-        fidelity=f,
-        one_minus_f=1.0 - f,
+        fidelity=1.0 - one_minus_f,
+        one_minus_f=one_minus_f,
         method=method,
         stderr=stderr,
         context=ctx,

@@ -67,6 +67,7 @@ def check_kernel_quadrature(tol: float = 1e-9) -> CheckResult:
                 "c1": quad_average(lambda a: np.cos(a / 2), dist),
                 "s1": quad_average(lambda a: np.sin(a / 2), dist),
                 "c2": quad_average(lambda a: np.cos(a / 2) ** 2, dist),
+                "s2": quad_average(lambda a: np.sin(a / 2) ** 2, dist),
                 "z": quad_average(lambda a: np.sin(a / 2) * np.cos(a / 2), dist),
             }
             for key, val in ref.items():

@@ -90,3 +90,16 @@ def test_scenario_validation():
         ShorScenario(bits=0, **DEFAULTS)
     with pytest.raises(ValueError):
         ShorScenario(bits=4, omega=-1.0, eta=0.1, tau=1e-8)
+
+
+@pytest.mark.parametrize("field", ["omega", "eta", "tau"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ShorScenario(bits=4, **{**DEFAULTS, field: bad})
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_assess_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        assess(ShorScenario(bits=4, **DEFAULTS), threshold)

@@ -140,6 +140,28 @@ def test_shor_bad_bits_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [["--tau", "nan"], ["--threshold", "nan"], ["--omega", "inf"], ["--eta", "-inf"],
+     ["--threshold", "inf"]],
+)
+def test_shor_non_finite_parameter_is_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["shor", "--bits", "4", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_fit_at_tiny_noise(capsys):
+    # Omega*tau from 1e-16 to 1e-13: 1-F stays positive and quadratic in the
+    # fractional area error
+    code, out = run(capsys, "sweep", "--gate", "one-bit", "--tau-min", "1e-21",
+                    "--tau-max", "1e-18", "--points", "5", "--fit")
+    assert code == 0
+    slope = float(out.strip().splitlines()[-1].split()[1].removeprefix("slope="))
+    assert slope == pytest.approx(2.0, abs=0.05)
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run(capsys, "shor", "--bits", "4", "--out", str(target))

@@ -12,6 +12,7 @@ from decogate.decoherence import (
     averaged_phase_factor,
     decay_rates,
     evolve_energy_basis,
+    gamma_char,
     kernel_integrals,
     mc_average,
     quad_average,
@@ -53,6 +54,22 @@ def test_degenerate_distribution_raises():
         area.sample(np.random.default_rng(0), 10)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: TimeDistribution(t=bad, tau=1e-8),
+        lambda bad: TimeDistribution(t=1e-5, tau=bad),
+        lambda bad: AreaDistribution(t=bad, tau=1e-8, omega_mean=1e5),
+        lambda bad: AreaDistribution(t=1e-5, tau=bad, omega_mean=1e5),
+        lambda bad: AreaDistribution(t=1e-5, tau=1e-8, omega_mean=bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_distributions_reject_out_of_domain(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
+
+
 def test_fractional_error_scaling():
     dist = AreaDistribution(t=1e-4, tau=1e-8, omega_mean=1e5)
     assert math.sqrt(dist.variance) / dist.mean == pytest.approx(
@@ -84,6 +101,66 @@ def test_sampler_gaussian_limit_skewness():
     x = dist.sample(rng, 1_000_000)
     z = (x - x.mean()) / x.std()
     assert abs(np.mean(z**3)) < 0.05
+
+
+# --- Gamma characteristic function ---------------------------------------
+
+_bad_scale = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-5e-324)
+)
+_scale_ok = st.floats(0.0, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    omega=st.floats(-1e12, 1e12),
+    bad=_bad_scale,
+    good=_scale_ok,
+    bad_is_t=st.booleans(),
+)
+def test_gamma_char_rejects_out_of_domain(omega, bad, good, bad_is_t):
+    t, tau = (bad, good) if bad_is_t else (good, bad)
+    with pytest.raises(ValueError):
+        gamma_char(omega, t, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=st.floats(-1e12, 1e12),
+    t=st.floats(0.0, 1e6),
+    tau=st.one_of(st.just(0.0), st.floats(1e-30, 1e3)),
+)
+def test_gamma_char_finite_with_modulus_at_most_one(omega, t, tau):
+    log_modulus, angle = gamma_char(omega, t, tau)
+    assert math.isfinite(log_modulus) and math.isfinite(angle)
+    assert log_modulus <= 0.0
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda tau: averaged_phase_factor(1e5, 1e-4, tau),
+        lambda tau: decay_rates(1e5, tau),
+        lambda tau: evolve_energy_basis(DensityMatrix(np.eye(2) / 2), [0.0, 1e5], 1e-4, tau),
+        lambda tau: kernel_integrals(1e-4, 1e5, tau),
+    ],
+)
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-8])
+def test_closed_forms_reject_bad_tau(closed_form, tau):
+    with pytest.raises(ValueError, match="tau"):
+        closed_form(tau)
+
+
+def test_gamma_char_is_elementwise_in_omega_and_matches_the_complex_power():
+    omega = np.array([[-3e5, 0.0], [1e4, 2e5]])
+    t, tau = 3e-5, 1e-7
+    log_modulus, angle = gamma_char(omega, t, tau)
+    assert log_modulus.shape == angle.shape == (2, 2)
+    want = (1 - 1j * omega * tau) ** (-t / tau)
+    assert np.allclose(np.exp(log_modulus + 1j * angle), want, rtol=1e-12, atol=0)
+    # tau = 0 is the delta at t
+    log_modulus, angle = gamma_char(omega, t, 0.0)
+    assert np.array_equal(log_modulus, np.zeros((2, 2))) and np.array_equal(angle, omega * t)
 
 
 # --- averaged phase factor -----------------------------------------------
@@ -181,6 +258,7 @@ def test_kernel_integrals_vs_quadrature(op_tau, n_half_turns):
     assert k.c1 == pytest.approx(quad_average(lambda a: np.cos(a / 2), dist), abs=1e-9)
     assert k.s1 == pytest.approx(quad_average(lambda a: np.sin(a / 2), dist), abs=1e-9)
     assert k.c2 == pytest.approx(quad_average(lambda a: np.cos(a / 2) ** 2, dist), abs=1e-9)
+    assert k.s2 == pytest.approx(quad_average(lambda a: np.sin(a / 2) ** 2, dist), abs=1e-9)
     assert k.z == pytest.approx(
         quad_average(lambda a: np.sin(a / 2) * np.cos(a / 2), dist), abs=1e-9
     )
