@@ -6,8 +6,10 @@ tau (area: Omega*tau).  Averaging unitary evolution over that distribution
 decays off-diagonal density-matrix elements in the energy basis while leaving
 populations untouched.  This module provides the distributions, their
 sampling, the decay/shift rates, the averaged phase factor, the closed-form
-pulse-average kernels, and Monte Carlo / adaptive-quadrature oracles used to
-cross-check every closed form.
+pulse-average kernels, and the Monte Carlo and Gauss-rule oracles used to
+cross-check every closed form.  The Gauss rule for the Gamma weight is built
+from the Gamma's three-term recurrence alone (Golub-Welsch), never from its pdf
+or its characteristic function, so it stays independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .statemath import DensityMatrix
 
-# Mass allowed outside the truncated quadrature window.
-QUAD_TAIL_MASS = 1e-12
 QUAD_ABS_TOL = 1e-12
+# Gauss rules of 32, 64, ..., 512 nodes.  Shapes below 4 use Gauss-Jacobi on
+# [0, 50] instead of Gauss-Laguerre; P(Gamma(4) > 50) = 4.3e-18.
+_GAUSS_NODES = (32, 64, 128, 256, 512)
+_JACOBI_MAX_SHAPE, _JACOBI_SPAN = 4.0, 50.0
 
 
 class DegenerateDistributionError(ValueError):
@@ -130,7 +133,7 @@ def _gamma_log_pdf(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
     pos = x > 0
     xs = x[pos] / scale
     out[pos] = (
-        (shape - 1.0) * np.log(xs) - xs - special.gammaln(shape) - math.log(scale)
+        (shape - 1.0) * np.log(xs) - xs - math.lgamma(shape) - math.log(scale)
     )
     # x == 0 has finite density only for shape == 1 (exponential)
     if shape == 1.0:
@@ -159,14 +162,17 @@ def gamma_char(omega, t: float, tau: float):
     """Characteristic function E[e^{i omega t'}] = (1 - i omega tau)^(-t/tau) of
     t' ~ Gamma(shape t/tau, scale tau) as (log modulus, angle) =
     (-(t/tau) log1p(omega^2 tau^2)/2, (t/tau) arctan(omega tau)), on the
-    principal branch for any t/tau; tau = 0 is the delta limit (0, omega t).
+    principal branch for any t/tau and finite for any finite omega tau;
+    tau = 0 is the delta limit (0, omega t).
     omega may be an array; t and tau must be finite and nonnegative."""
     if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
         raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
     if tau == 0:
         return np.zeros(np.shape(omega)), omega * t
-    k, x = t / tau, omega * tau
-    return -0.5 * k * np.log1p(x * x), k * np.arctan(x)
+    # -k log(1 - i x) = -(k/2) log1p(x^2) + i k arctan(x); the complex log
+    # forms no x^2, so it neither overflows at large |x| nor loses small |x|
+    z = -(t / tau) * np.log(1 - 1j * (omega * tau))
+    return z.real, z.imag
 
 
 def one_minus_re(log_modulus, angle):
@@ -259,89 +265,66 @@ def mc_average(f, d: AreaDistribution, n: int, rng: np.random.Generator):
     return mean, stderr
 
 
-def _quad_window(shape: float, scale: float) -> tuple[float, float]:
-    """Truncation window [lo, hi] carrying all but < QUAD_TAIL_MASS of the
-    Gamma mass, verified via the regularized incomplete gamma function."""
-    mean = shape * scale
-    std = math.sqrt(shape) * scale
-    lo = max(0.0, mean - 12.0 * std)
-    hi = mean + 12.0 * std
-    # widen until the analytic tail bound holds (12 sigma is already ample
-    # for shape >~ 1; small shapes need the lower edge pinned at 0)
-    while special.gammaincc(shape, hi / scale) > QUAD_TAIL_MASS:
-        hi *= 2.0
-    if lo > 0 and special.gammainc(shape, lo / scale) > QUAD_TAIL_MASS:
-        lo = 0.0
-    return lo, hi
+def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule whose Jacobi matrix has this
+    diagonal and off-diagonal: its eigenvalues, and the squared first
+    components of its eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)."""
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2
 
 
-def quad_average(f, d: AreaDistribution) -> float:
-    """Adaptive-quadrature expectation of f(A); the independent oracle for
-    every closed-form kernel."""
-    lo, hi = _quad_window(d.shape, d.scale)
+def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for Gamma(k, 1) in the standardised variable
+    y = (x - k)/sqrt(k), with weights summing to 1.
 
-    def integrand(a):
-        return f(a) * float(d.pdf(a))
-
-    val, _ = integrate.quad(
-        integrand, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL, limit=400
-    )
-    return val
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def composite_gl_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite 32-point Gauss-Legendre rule."""
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    a = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return a, w
-
-
-def quad_average_matrix(matrix_fn, d: AreaDistribution, dim: int) -> np.ndarray:
-    """E[matrix_fn(A)] by composite Gauss-Legendre with panel doubling.
-
-    matrix_fn maps a scalar area to a (dim, dim) complex matrix; panels
-    double until successive estimates agree to QUAD_ABS_TOL entrywise.
+    k >= 4: generalised Laguerre, weight x^(k-1) e^-x.  k < 4: Gauss-Jacobi
+    for the weight x^(k-1) on [0, 50], with e^-x moved into the weights and
+    the weights normalised by their own sum.
     """
-    lo, hi = _quad_window(d.shape, d.scale)
+    i = np.arange(1, n, dtype=float)
+    if k >= _JACOBI_MAX_SHAPE:
+        return _golub_welsch(2 * np.arange(n) / math.sqrt(k), np.sqrt(i * (i + k - 1) / k))
+    b = k - 1.0  # Jacobi exponents (0, b) of (1 - u)^0 (1 + u)^b on [-1, 1]
+    s = 2 * i + b
+    diag = np.concatenate(([b / (b + 2)], b * b / (s * (s + 2))))
+    u, w = _golub_welsch(diag, 2 * i * (i + b) / (s * np.sqrt((s + 1) * (s - 1))))
+    x = 0.5 * _JACOBI_SPAN * (1.0 + u)
+    w = w * np.exp(-x)
+    return (x - k) / math.sqrt(k), w / w.sum()
 
-    def estimate(n_panels: int) -> np.ndarray:
-        a, w = composite_gl_nodes(lo, hi, n_panels)
-        w = w * d.pdf(a)
-        acc = np.zeros((dim, dim), dtype=complex)
-        for ai, wi in zip(a, w):
-            acc += wi * matrix_fn(ai)
-        return acc
 
-    n = 2
-    prev = estimate(n)
-    for _ in range(8):
-        n *= 2
+def gauss_average(f, d: AreaDistribution | TimeDistribution):
+    """E[f(A)] by the Gamma Gauss rule at 32, 64, ... nodes, until two
+    successive estimates agree within QUAD_ABS_TOL * max(1, |value|).
+
+    f maps an (n,) array of areas (times) to an (n, ...) array.  Returns
+    (value, difference of the last two estimates); tau = 0 is the delta at
+    the mean.  Raises RuntimeError if 512 nodes do not converge.
+    """
+    if d.tau == 0:
+        return f(np.array([d.mean]))[0], 0.0
+
+    def estimate(n: int):
+        y, w = _gamma_rule(d.shape, n)
+        return np.tensordot(w, f(d.mean + math.sqrt(d.variance) * y), axes=1)
+
+    prev = estimate(_GAUSS_NODES[0])
+    for n in _GAUSS_NODES[1:]:
         cur = estimate(n)
-        if np.max(np.abs(cur - prev)) < QUAD_ABS_TOL:
-            return cur
+        err = float(np.max(np.abs(cur - prev)))
+        if err <= QUAD_ABS_TOL * max(1.0, float(np.max(np.abs(cur)))):
+            return cur, err
         prev = cur
-    return prev
+    raise RuntimeError(
+        f"Gauss rule for shape {d.shape:.6g} did not converge at {n} nodes: "
+        f"the last two estimates differ by {err:.3e}"
+    )
 
 
-def quad_cdf_grid(d: AreaDistribution, n_points: int = 4001) -> tuple[np.ndarray, np.ndarray]:
-    """CDF of the area distribution on a dense grid, by cumulative Simpson
-    integration of the pdf (used as the sampler's distributional oracle)."""
-    lo, hi = _quad_window(d.shape, d.scale)
-    if d.shape < 1.0:
-        # pdf diverges at 0; start the grid just inside, resolve the
-        # singularity on a log-spaced grid, and account for the small
-        # analytic head mass via the incomplete gamma lower tail
-        lo = max(lo, 1e-12 * d.scale)
-        grid = np.geomspace(lo, hi, n_points)
-    else:
-        grid = np.linspace(max(lo, 1e-300), hi, n_points)
-    pdf = d.pdf(grid)
-    cdf = integrate.cumulative_simpson(pdf, x=grid, initial=0.0)
-    cdf += float(special.gammainc(d.shape, lo / d.scale))
-    return grid, np.clip(cdf, 0.0, 1.0)
+def quad_average(f, d: AreaDistribution | TimeDistribution) -> float:
+    """E[f(A)] by the Gamma Gauss rule, calling f on one float at a time;
+    the independent oracle for every closed-form kernel."""
+    if d.tau == 0:
+        raise DegenerateDistributionError("degenerate distribution; use delta limit")
+    value, _ = gauss_average(lambda a: np.array([float(f(x)) for x in a.tolist()]), d)
+    return float(value)

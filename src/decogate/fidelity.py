@@ -5,7 +5,8 @@ U(A)|i><i'|U(A)^dag; the fidelity tensor F[i',i,j',j] compares it to the
 ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
 two bits).  Every analytic path here has an independent Monte Carlo and
-quadrature oracle.
+quadrature oracle; the quadrature averages over each pulse area with the
+Gamma Gauss rule of `decoherence.gauss_average`.
 
 Every Monte Carlo estimate runs one chunked loop (`_mc_moments`) over exactly
 the requested number of samples per pulse and reports the per-sample
@@ -21,25 +22,22 @@ from enum import Enum
 import numpy as np
 
 from .decoherence import (
-    QUAD_ABS_TOL,
     AreaDistribution,
     gamma_char,
+    gauss_average,
     kernel_integrals,
     one_minus_re,
-    quad_average_matrix,
     sample_area,
 )
 from .gates import (
     DIM,
-    apply_pulse_batch,
     PI,
     UNIVERSAL_SEQUENCE,
     GateContext,
     coupled_pairs,
     ideal_one_bit_gate,
     ideal_two_bit_gate,
-    one_bit_unitary,
-    pulse_unitary,
+    pulse_parts,
 )
 from .statemath import LOGICAL_INDICES
 
@@ -142,21 +140,13 @@ def f0000_one_bit(t: float, ctx: GateContext) -> float:
     return 1.0 - _one_minus_f0000(t, ctx)
 
 
-def _tensor_from_rbar(rbar_fn, u_ideal: np.ndarray, n_states: int) -> FidelityTensor:
-    values = np.empty((n_states,) * 4, dtype=complex)
-    for ip in range(n_states):
-        for i in range(n_states):
-            m = u_ideal.conj().T @ rbar_fn(i, ip) @ u_ideal
-            values[ip, i] = m
-    return FidelityTensor.full(values)
-
-
 def closed_one_bit_tensor(t: float, ctx: GateContext) -> FidelityTensor:
     """Full 2x2x2x2 fidelity tensor of the carrier rotation."""
     if t <= 0:
         raise ValueError("t must be positive")
     u = ideal_one_bit_gate(t, ctx)
-    return _tensor_from_rbar(lambda i, ip: rbar_one_bit(i, ip, t, ctx), u, 2)
+    return FidelityTensor.full(np.array(
+        [[u.conj().T @ rbar_one_bit(i, ip, t, ctx) @ u for i in range(2)] for ip in range(2)]))
 
 
 def fidelity_one_bit(
@@ -181,7 +171,10 @@ def fidelity_one_bit(
             n_samples, rng))
         one_minus_f = 1.0 - f
     else:
-        one_minus_f = 1.0 - _fidelity_one_bit_quad(t, ctx)
+        # the same reduction by quadrature: 1 - F = (3/4) E[sin^2((A - Omega t)/2)]
+        one_minus_f = 0.75 * float(gauss_average(
+            lambda a: np.sin(0.5 * (a - ctx.omega * t)) ** 2,
+            AreaDistribution(t, ctx.tau, ctx.omega))[0])
     return GateFidelityResult(
         fidelity=1.0 - one_minus_f,
         one_minus_f=one_minus_f,
@@ -200,27 +193,6 @@ def _one_bit_amp(areas: np.ndarray, t: float, ctx: GateContext) -> np.ndarray:
     # amp[n, i, j'] = cos(A_n/2) conj(U_ideal[i, j']) + sin(A_n/2) (B^T conj(U_ideal))[i, j']
     cos_part = np.multiply.outer(np.cos(0.5 * areas), ideal)
     return cos_part + np.multiply.outer(np.sin(0.5 * areas), b.T @ ideal)
-
-
-def _fidelity_one_bit_quad(t: float, ctx: GateContext) -> float:
-    """Quadrature oracle: build each Rbar by numerically averaging the actual
-    rotation matrices, then contract."""
-    if ctx.tau == 0:
-        return contract_fidelity(closed_one_bit_tensor(t, ctx), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
-    dist = AreaDistribution(t, ctx.tau, ctx.omega)
-    u_ideal = ideal_one_bit_gate(t, ctx)
-
-    def rbar(i, ip):
-        m0 = np.zeros((2, 2), dtype=complex)
-        m0[i, ip] = 1.0
-        return quad_average_matrix(
-            lambda a: one_bit_unitary(a, ctx.phi) @ m0 @ one_bit_unitary(a, ctx.phi).conj().T,
-            dist,
-            2,
-        )
-
-    tensor = _tensor_from_rbar(rbar, u_ideal, 2)
-    return contract_fidelity(tensor, ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
 
 
 # --------------------------------------------------------------------------
@@ -429,66 +401,33 @@ def fidelity_mc_two_bit(
     return fidelity_two_bit(ctx, Method.MONTE_CARLO, n_samples, rng)
 
 
-def _averaged_pulse_superop(step, dist: AreaDistribution) -> np.ndarray:
-    """Superoperator of the area-averaged pulse conjugation, as a
-    (DIM^2, DIM^2) matrix acting on vectorized density operators:
-    G[(p q), (r c)] = E[U(A)[r, p] conj(U(A)[c, q])], so that
-    vec(E[U M U^dag]) = vec(M) @ G for row-major vectorization.
+def _averaged_pulse(step, dist: AreaDistribution, m: np.ndarray) -> np.ndarray:
+    """E[U(A) m U(A)^dag] for a batch m of (DIM, DIM) operators.
 
-    Composite Gauss-Legendre with panel doubling; the node images are built
-    with the same batched pulse application used by the Monte Carlo path.
+    With U(A) = q + cos(A/2) r + sin(A/2) b (gates.pulse_parts), the average
+    is nine fixed products of m weighted by five Gauss moments of A:
+    E[c], E[s], E[c^2], E[s^2] and E[s c], for c = cos(A/2), s = sin(A/2).
     """
-    from .decoherence import _quad_window, composite_gl_nodes
+    q, r, b = pulse_parts(step)
+    bh = b.conj().T
 
-    lo, hi = _quad_window(dist.shape, dist.scale)
+    def moments(a):
+        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
+        return np.stack([c, s, c * c, s * s, s * c], axis=-1)
 
-    def estimate(n_panels: int) -> np.ndarray:
-        a, w = composite_gl_nodes(lo, hi, n_panels)
-        w = w * dist.pdf(a)
-        n_nodes = a.size
-        eye = np.broadcast_to(np.eye(DIM, dtype=complex), (n_nodes, DIM, DIM)).copy()
-        cols = apply_pulse_batch(eye, step, a[:, None])  # cols[n, p, :] = U(a_n) e_p
-        flat = cols.reshape(n_nodes, DIM * DIM)
-        g4 = ((flat * w[:, None]).T @ flat.conj()).reshape(DIM, DIM, DIM, DIM)
-        # reorder [p, r, q, c] -> [(p q), (r c)]
-        return g4.transpose(0, 2, 1, 3).reshape(DIM * DIM, DIM * DIM)
-
-    n = 2
-    prev = estimate(n)
-    for _ in range(7):
-        n *= 2
-        cur = estimate(n)
-        if np.max(np.abs(cur - prev)) < QUAD_ABS_TOL:
-            return cur
-        prev = cur
-    return prev
+    (c, s, cc, ss, sc), _ = gauss_average(moments, dist)
+    return (q @ m @ q + c * (r @ m @ q + q @ m @ r) + s * (b @ m @ q + q @ m @ bh)
+            + cc * (r @ m @ r) + ss * (b @ m @ bh) + sc * (r @ m @ bh + b @ m @ r))
 
 
 def quad_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
-    """Quadrature oracle for the two-bit tensor: iterated one-dimensional
-    averaging of |i><i'| through the three pulses (exact by independence of
-    the pulse areas)."""
-    dists = pulse_distributions(ctx)
-    u = ideal_two_bit_gate()
-    cols = u[:, list(LOGICAL_INDICES)]
-    if ctx.tau == 0:
-        stages = []
-        for step in UNIVERSAL_SEQUENCE:
-            up = pulse_unitary(step, step.nominal_area)
-            stages.append(("unitary", up))
-    else:
-        g_pi = _averaged_pulse_superop(UNIVERSAL_SEQUENCE[0], dists[0])
-        g_2pi = _averaged_pulse_superop(UNIVERSAL_SEQUENCE[1], dists[1])
-        stages = [("superop", g_pi), ("superop", g_2pi), ("superop", g_pi)]
-    values = np.empty((4, 4, 4, 4), dtype=complex)
-    for ip in range(4):
-        for i in range(4):
-            m = np.zeros((DIM, DIM), dtype=complex)
-            m[LOGICAL_INDICES[i], LOGICAL_INDICES[ip]] = 1.0
-            for kind, op in stages:
-                if kind == "unitary":
-                    m = op @ m @ op.conj().T
-                else:
-                    m = (m.reshape(-1) @ op).reshape(DIM, DIM)
-            values[ip, i] = cols.conj().T @ m @ cols
-    return FidelityTensor.full(values)
+    """Quadrature oracle for the two-bit tensor: all sixteen |i><i'| pushed
+    at once through the three area-averaged pulses in turn (exact by
+    independence of the pulse areas)."""
+    logical, i = np.array(LOGICAL_INDICES), np.arange(4)
+    m = np.zeros((4, 4, DIM, DIM), dtype=complex)
+    m[i[:, None], i, logical, logical[:, None]] = 1.0  # m[i', i] = |i><i'|
+    for step, dist in zip(UNIVERSAL_SEQUENCE, pulse_distributions(ctx)):
+        m = _averaged_pulse(step, dist, m)
+    cols = ideal_two_bit_gate()[:, logical]
+    return FidelityTensor.full(cols.conj().T @ m @ cols)

@@ -106,19 +106,23 @@ def coupled_pairs(step: PulseStep) -> list[tuple[int, int]]:
     return pairs
 
 
+def pulse_parts(step: PulseStep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, b) with pulse_unitary(step, A) = q + cos(A/2) r + sin(A/2) b:
+    r projects onto the coupled_pairs blocks, q = 1 - r, and b is the blocks'
+    off-diagonal part."""
+    r = np.zeros((DIM, DIM))
+    b = np.zeros((DIM, DIM), dtype=complex)
+    for hi, lo in coupled_pairs(step):
+        r[hi, hi] = r[lo, lo] = 1.0
+        b[hi, lo] = -1j * np.exp(-1j * step.phase)
+        b[lo, hi] = -1j * np.exp(1j * step.phase)
+    return np.eye(DIM) - r, r, b
+
+
 def pulse_unitary(step: PulseStep, area: float) -> np.ndarray:
     """18x18 unitary of one sideband pulse at the given accumulated area."""
-    u = np.eye(DIM, dtype=complex)
-    c = math.cos(0.5 * area)
-    s = math.sin(0.5 * area)
-    off_hi = -1j * np.exp(-1j * step.phase) * s
-    off_lo = -1j * np.exp(1j * step.phase) * s
-    for hi, lo in coupled_pairs(step):
-        u[hi, hi] = c
-        u[lo, lo] = c
-        u[hi, lo] = off_hi
-        u[lo, hi] = off_lo
-    return u
+    q, r, b = pulse_parts(step)
+    return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
 
 
 def apply_pulse_batch(states: np.ndarray, step: PulseStep, areas: np.ndarray) -> np.ndarray:

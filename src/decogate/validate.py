@@ -43,7 +43,7 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def check_phase_factor_quadrature(tol: float = 1e-9) -> CheckResult:
-    """Averaged phase factor: closed form vs adaptive quadrature."""
+    """Averaged phase factor: closed form vs the Gamma Gauss rule."""
     worst = 0.0
     for omega, t, tau in [(1e5, math.pi / 1e5, 1e-8), (2e4, 1e-4, 1e-7), (1e5, 1e-4, 1e-6)]:
         closed = averaged_phase_factor(omega, t, tau)
@@ -55,7 +55,7 @@ def check_phase_factor_quadrature(tol: float = 1e-9) -> CheckResult:
 
 
 def check_kernel_quadrature(tol: float = 1e-9) -> CheckResult:
-    """Pulse kernel moments: closed form vs adaptive quadrature."""
+    """Pulse kernel moments: closed form vs the Gamma Gauss rule."""
     worst = 0.0
     omega_p = 1e5
     for op_tau in (1e-4, 1e-3, 1e-2):
@@ -76,7 +76,7 @@ def check_kernel_quadrature(tol: float = 1e-9) -> CheckResult:
 
 
 def check_kernel_mc(n_samples: int, seed: int, n_sigma: float = 5.0) -> CheckResult:
-    """First kernel moment: Monte Carlo vs adaptive quadrature."""
+    """First kernel moment: Monte Carlo vs the Gamma Gauss rule."""
     dist = AreaDistribution(t=math.pi / 1e5, tau=1e-8, omega_mean=1e5)
     rng = np.random.default_rng(seed)
     mean, stderr = mc_average(lambda a: np.cos(a / 2), dist, n_samples, rng)
@@ -123,7 +123,8 @@ def check_two_bit_mc(n_samples: int, seed: int, n_sigma: float = 5.0) -> CheckRe
 
 
 def check_two_bit_quadrature(tol: float = 1e-9) -> CheckResult:
-    """Two-bit fidelity tensor: closed forms vs superoperator quadrature."""
+    """Two-bit fidelity tensor: closed forms vs the pulse-by-pulse Gauss-rule
+    average."""
     worst = 0.0
     eta, n_ions, tau = 0.1, 20, 1e-8
     for op_tau in (1e-4, 1e-3, 1e-2):
@@ -163,7 +164,8 @@ def check_diagonal_conservation() -> CheckResult:
 
 
 def check_distribution_moments() -> CheckResult:
-    """Gamma pdf normalization (1e-8) and first two moments (1e-6 relative)."""
+    """The Gamma Gauss rule's normalisation (1e-8) and first two moments
+    (1e-6 relative)."""
     worst_norm = 0.0
     worst_mom = 0.0
     for shape in (0.5, 1.0, 10.0, 3141.59):

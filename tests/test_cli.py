@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -285,3 +287,10 @@ def test_validate_small_sample_run(capsys):
     lines = out.strip().split("\n")
     assert all("PASS" in line for line in lines)
     assert lines[-1].startswith("TOTAL")
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: only the test oracles use it
+    code = "import sys, decogate.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from decogate.decoherence import (
     AreaDistribution,
@@ -13,12 +14,47 @@ from decogate.decoherence import (
     decay_rates,
     evolve_energy_basis,
     gamma_char,
+    gauss_average,
     kernel_integrals,
     mc_average,
     quad_average,
-    quad_cdf_grid,
 )
 from decogate.statemath import DensityMatrix
+
+# Gamma mass allowed outside a truncated integration window.
+TAIL_MASS = 1e-12
+
+
+def pdf_window(d) -> tuple[float, float]:
+    """[lo, hi] carrying all but < TAIL_MASS of the Gamma mass, verified via
+    the regularized incomplete gamma function."""
+    std = math.sqrt(d.variance)
+    lo, hi = max(0.0, d.mean - 12.0 * std), d.mean + 12.0 * std
+    # 12 sigma is already ample for shape >~ 1; small shapes need the lower
+    # edge pinned at 0
+    while special.gammaincc(d.shape, hi / d.scale) > TAIL_MASS:
+        hi *= 2.0
+    if lo > 0 and special.gammainc(d.shape, lo / d.scale) > TAIL_MASS:
+        lo = 0.0
+    return lo, hi
+
+
+def quad_cdf_grid(d: AreaDistribution, n_points: int = 4001) -> tuple[np.ndarray, np.ndarray]:
+    """CDF of the area distribution on a dense grid, by cumulative Simpson
+    integration of the pdf (the sampler's distributional oracle)."""
+    lo, hi = pdf_window(d)
+    if d.shape < 1.0:
+        # pdf diverges at 0; start the grid just inside, resolve the
+        # singularity on a log-spaced grid, and account for the small
+        # analytic head mass via the incomplete gamma lower tail
+        lo = max(lo, 1e-12 * d.scale)
+        grid = np.geomspace(lo, hi, n_points)
+    else:
+        grid = np.linspace(max(lo, 1e-300), hi, n_points)
+    pdf = d.pdf(grid)
+    cdf = integrate.cumulative_simpson(pdf, x=grid, initial=0.0)
+    cdf += float(special.gammainc(d.shape, lo / d.scale))
+    return grid, np.clip(cdf, 0.0, 1.0)
 
 
 # --- distribution basics -------------------------------------------------
@@ -28,12 +64,45 @@ from decogate.statemath import DensityMatrix
 def test_pdf_normalization_and_moments(shape):
     tau = 1e-3
     dist = TimeDistribution(t=shape * tau, tau=tau)
-    norm = quad_average(lambda x: np.ones_like(x), dist)
-    mean = quad_average(lambda x: x, dist)
-    second = quad_average(lambda x: x * x, dist)
+    lo, hi = pdf_window(dist)
+    norm, mean, second = (
+        integrate.quad(lambda x: x**p * float(dist.pdf(x)), lo, hi,
+                       epsabs=1e-12, epsrel=1e-12, limit=400)[0]
+        for p in range(3)
+    )
     assert norm == pytest.approx(1.0, abs=1e-8)
     assert mean == pytest.approx(dist.mean, rel=1e-6)
     assert second - mean**2 == pytest.approx(dist.variance, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [1e-2, 0.3, 1.0, 3.99, 4.0, 31.4, 1e4, 1e7, 1e10])
+def test_gauss_rule_normalisation_and_moments(shape):
+    # both branches of the rule: Gauss-Jacobi below shape 4, Laguerre above;
+    # the central moment, since E[A^2] - mean^2 cancels at large shape
+    dist = TimeDistribution(t=shape * 1e-3, tau=1e-3)
+    (norm, mean, var), _ = gauss_average(
+        lambda a: np.stack([np.ones_like(a), a, (a - dist.mean) ** 2], axis=-1), dist)
+    assert norm == pytest.approx(1.0, rel=1e-11)
+    assert mean == pytest.approx(dist.mean, rel=1e-11)
+    assert var == pytest.approx(dist.variance, rel=1e-11)
+
+
+def test_quad_average_calls_f_with_python_floats():
+    seen = set()
+
+    def f(a):
+        seen.add(type(a))
+        return math.cos(a)
+
+    for dist in (AreaDistribution(1.0, 0.1, 1.0), TimeDistribution(1.0, 1.0)):
+        quad_average(f, dist)
+    assert seen == {float}
+
+
+def test_quad_average_raises_when_the_rule_does_not_converge():
+    # about 1600 periods over the rule's [0, 50] span: 512 nodes cannot resolve it
+    with pytest.raises(RuntimeError, match="did not converge"):
+        quad_average(lambda a: math.cos(200 * a), AreaDistribution(0.3, 1.0, 1.0))
 
 
 def test_mode_at_t_minus_tau():
@@ -52,6 +121,9 @@ def test_degenerate_distribution_raises():
     area = AreaDistribution(t=1.0, tau=0.0, omega_mean=1.0)
     with pytest.raises(DegenerateDistributionError):
         area.sample(np.random.default_rng(0), 10)
+    for d in (dist, area):
+        with pytest.raises(DegenerateDistributionError):
+            quad_average(math.cos, d)
 
 
 @pytest.mark.parametrize(
@@ -124,9 +196,10 @@ def test_gamma_char_rejects_out_of_domain(omega, bad, good, bad_is_t):
         gamma_char(omega, t, tau)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
-    omega=st.floats(-1e12, 1e12),
+    omega=st.floats(-1e300, 1e300),
     t=st.floats(0.0, 1e6),
     tau=st.one_of(st.just(0.0), st.floats(1e-30, 1e3)),
 )
@@ -149,6 +222,15 @@ def test_gamma_char_finite_with_modulus_at_most_one(omega, t, tau):
 def test_closed_forms_reject_bad_tau(closed_form, tau):
     with pytest.raises(ValueError, match="tau"):
         closed_form(tau)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_char_does_not_overflow_at_huge_omega_tau():
+    # accuracy at large omega tau is pinned in test_mpmath_oracle
+    assert gamma_char(1e200, 0.0, 1.0) == (0.0, 0.0)
+    assert decay_rates(1e200, 1.0).gamma == pytest.approx(math.log(1e200), rel=1e-15)
+    # omega = 0, as on evolve_energy_basis' diagonal
+    assert gamma_char(np.zeros(3), 1.0, 1.0)[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_gamma_char_is_elementwise_in_omega_and_matches_the_complex_power():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import decogate.fidelity as fidelity_mod
-from decogate.decoherence import AreaDistribution, sample_area
+from decogate.decoherence import AreaDistribution, kernel_integrals, quad_average, sample_area
 from decogate.fidelity import (
     MIN_MC_SAMPLES,
     ONE_BIT_W_DIAG,
@@ -192,6 +192,33 @@ def test_two_bit_quadrature_matches_closed_form():
     assert np.abs(closed.values[mask] - quad.values[mask]).max() < 1e-9
 
 
+KERNEL_MOMENTS = {
+    "c1": lambda a: math.cos(a / 2),
+    "s1": lambda a: math.sin(a / 2),
+    "c2": lambda a: math.cos(a / 2) ** 2,
+    "s2": lambda a: math.sin(a / 2) ** 2,
+    "z": lambda a: math.sin(a / 2) * math.cos(a / 2),
+}
+
+
+@pytest.mark.parametrize("noise", np.geomspace(1e-8, 10.0, 10))
+def test_quadrature_oracles_match_closed_forms_over_the_noise_range(noise):
+    # one-bit F at Omega tau = noise
+    ctx1 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=noise / 1e5)
+    quad = fidelity_one_bit(T_PI, ctx1, Method.QUADRATURE)
+    assert abs(quad.fidelity - fidelity_one_bit(T_PI, ctx1).fidelity) < 1e-12
+    # every known two-bit tensor entry and the five kernels at Omega' tau = noise
+    ctx2 = ctx_at_op_tau(noise)
+    closed, quad2 = closed_two_bit_tensor(ctx2), quad_two_bit_tensor(ctx2)
+    assert np.abs(closed.values[closed.known] - quad2.values[closed.known]).max() < 1e-12
+    wp = ctx2.omega_prime
+    for nominal in (math.pi, 2 * math.pi):
+        k = kernel_integrals(nominal / wp, wp, ctx2.tau)
+        dist = AreaDistribution(nominal / wp, ctx2.tau, wp)
+        for name, f in KERNEL_MOMENTS.items():
+            assert abs(getattr(k, name) - quad_average(f, dist)) < 1e-12, name
+
+
 def rbar_two_bit_mc(ctx, n_samples, rng):
     """Monte Carlo averaged process operators Rbar[i', i] as (4, 4, 18, 18)."""
     states = composite_action(*(sample_area(d, rng, n_samples) for d in pulse_distributions(ctx)))
@@ -300,8 +327,9 @@ def test_two_bit_amp_at_nominal_areas_is_identity():
 
 def test_delta_limit_exact():
     ctx0 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=0.0)
-    assert abs(fidelity_one_bit(math.pi / ctx0.omega, ctx0).fidelity - 1.0) < 1e-12
-    assert abs(fidelity_two_bit(ctx0).fidelity - 1.0) < 1e-12
+    for method in (Method.ANALYTIC, Method.QUADRATURE):
+        assert abs(fidelity_one_bit(math.pi / ctx0.omega, ctx0, method).fidelity - 1.0) < 1e-12
+        assert abs(fidelity_two_bit(ctx0, method).fidelity - 1.0) < 1e-12
 
 
 def test_infidelity_monotone_in_tau():

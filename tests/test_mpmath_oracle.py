@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from decogate.decoherence import gamma_char
 from decogate.fidelity import fidelity_one_bit, fidelity_two_bit
 from decogate.gates import GateContext
 
@@ -72,3 +73,14 @@ def test_two_bit_infidelity_matches_mpmath(noise):
     res = fidelity_two_bit(ctx)
     assert _rel_err(res.one_minus_f, two_bit_infidelity_mp(ctx)) <= 1e-12
     assert res.fidelity == 1.0 - res.one_minus_f
+
+
+@pytest.mark.parametrize("x", np.logspace(-150, 300, 10))
+def test_gamma_char_matches_mpmath_from_tiny_to_huge_omega_tau(x):
+    # log modulus and angle of (1 - i x)^(-k), each to a few ulp, from
+    # x = 1e-150 to well past x^2's overflow at x ~ 1.3e154
+    k = 3.0
+    want = -k * mpmath.log(mpmath.mpc(1, -x))
+    log_modulus, angle = gamma_char(x, k, 1.0)
+    assert _rel_err(log_modulus, mpmath.re(want)) <= 1e-15
+    assert _rel_err(angle, mpmath.im(want)) <= 1e-15
