@@ -83,8 +83,8 @@ def assess(
 def required_tau(omega: float, target_error: float) -> float:
     """Scaling time needed for a one-bit pi rotation to reach the target error,
     inverting the first-order law (3/16) pi Omega tau = target."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     if not 0 < target_error < 1:
         raise ValueError("target error must be in (0, 1)")
     return target_error / (ONE_BIT_ERROR_COEFF * omega)

@@ -82,6 +82,9 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
                 setattr(args, key, cast(cfg[key]))
             elif hasattr(args, key):
                 setattr(args, key, defaults[key])
+    # numpy refuses a negative seed; every subcommand takes one, used or not
+    if args.seed < 0:
+        parser.error(f"seed must be nonnegative, got {args.seed}")
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

@@ -5,8 +5,13 @@ U(A)|i><i'|U(A)^dag; the fidelity tensor F[i',i,j',j] compares it to the
 ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
 two bits).  Every analytic path here has an independent Monte Carlo and
-quadrature oracle; the quadrature averages over each pulse area with the
-Gamma Gauss rule of `decoherence.gauss_average`.
+quadrature oracle, and both oracles run on one logical-block table.  With
+each pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the gate W(A) =
+U_p(A_p) ... U_1(A_1) expands over one part per pulse, and its amplitudes
+<j'|U^dag W(A)|i> on the logical states are sum_k w_k(A) T[k, i, j'], where
+w_k(A) = prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2), sin(A/2)).
+Monte Carlo samples w; quadrature averages each w_k w_l with the Gamma Gauss
+rule of `decoherence.gauss_average`.  The closed forms do not use the table.
 
 Every Monte Carlo estimate runs one chunked loop (`_mc_moments`) over exactly
 the requested number of samples per pulse and reports the per-sample
@@ -30,11 +35,10 @@ from .decoherence import (
     sample_area,
 )
 from .gates import (
-    DIM,
     PI,
     UNIVERSAL_SEQUENCE,
     GateContext,
-    coupled_pairs,
+    carrier_parts,
     ideal_one_bit_gate,
     ideal_two_bit_gate,
     pulse_parts,
@@ -75,10 +79,10 @@ class GateFidelityResult:
 
 def fractional_error(t: float, tau: float) -> float:
     """Fractional pulse-area error sqrt(tau/t)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     return math.sqrt(tau / t)
 
 
@@ -100,16 +104,45 @@ def contract_fidelity(tensor: FidelityTensor, w_diag: float, w_off: float) -> fl
 
 
 # --------------------------------------------------------------------------
+# Logical-block table
+# --------------------------------------------------------------------------
+
+
+def _v(a: np.ndarray) -> np.ndarray:
+    """v(A) = (1, cos(A/2), sin(A/2)) for each area, as (n, 3): the weights of
+    the parts (q, r, b) in U(A) = q + cos(A/2) r + sin(A/2) b."""
+    return np.stack([np.ones_like(a), np.cos(0.5 * a), np.sin(0.5 * a)], axis=-1)
+
+
+def _logical_table(parts_seq, ideal: np.ndarray, logical) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, T) of the gate whose pulses have the parts (q, r, b) in
+    parts_seq, in time order; only terms with a nonzero logical block stay."""
+    cols = np.eye(len(ideal))[:, list(logical)]
+    terms = cols[None]
+    for parts in parts_seq:
+        terms = np.einsum("cde,kel->kcdl", np.stack(parts), terms).reshape(-1, *cols.shape)
+    table = np.swapaxes(cols.T @ ideal.conj().T @ terms, 1, 2)
+    codes = np.array(list(np.ndindex(*(3,) * len(parts_seq))))
+    keep = np.any(table != 0, axis=(1, 2))
+    return codes[keep], table[keep]
+
+
+def _table_amp(table, *areas) -> np.ndarray:
+    """amp[n, i, j'] = sum_k w_k(A_n) T[k, i, j'] for table = (codes, T) and
+    one (n,) area array per pulse."""
+    codes, t = table
+    w = 1.0
+    for a, c in zip(areas, codes.T):
+        w = w * _v(a)[:, c]
+    return (w @ t.reshape(len(t), -1)).reshape(-1, *t.shape[1:])
+
+
+# --------------------------------------------------------------------------
 # One-bit gate
 # --------------------------------------------------------------------------
 
 ONE_BIT_W_DIAG = 3.0 / 8.0
 ONE_BIT_W_OFF = 1.0 / 8.0
-
-
-def _carrier_b(phi: float) -> np.ndarray:
-    """B in the carrier rotation U(A) = cos(A/2) 1 + sin(A/2) B."""
-    return np.array([[0.0, -1j * np.exp(-1j * phi)], [-1j * np.exp(1j * phi), 0.0]])
 
 
 def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray:
@@ -120,7 +153,7 @@ def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray
     k = kernel_integrals(t, ctx.omega, ctx.tau)
     # U|i> = cos(A/2) e_i + sin(A/2) B e_i, so the average of the outer
     # product weighs the four column products by C2, S2, Z, Z
-    e, b = np.eye(2), _carrier_b(ctx.phi)
+    _, e, b = carrier_parts(ctx.phi)
     ei, bi, ej, bj = e[:, i], b[:, i], e[:, i_prime].conj(), b[:, i_prime].conj()
     return k.c2 * np.outer(ei, ej) + k.s2 * np.outer(bi, bj) + k.z * (
         np.outer(ei, bj) + np.outer(bi, ej)
@@ -165,9 +198,10 @@ def fidelity_one_bit(
         # the contraction weights reduce the tensor to F = 1/4 + (3/4) f0000
         one_minus_f = 0.75 * _one_minus_f0000(t, ctx)
     elif method is Method.MONTE_CARLO:
+        table = _logical_table((carrier_parts(ctx.phi),), ideal_one_bit_gate(t, ctx), (0, 1))
         f, stderr = map(float, _mc_moments(
             (AreaDistribution(t, ctx.tau, ctx.omega),),
-            lambda a: _amp_to_fidelity(_one_bit_amp(a, t, ctx), ONE_BIT_W_DIAG, ONE_BIT_W_OFF),
+            lambda a: _amp_to_fidelity(_table_amp(table, a), ONE_BIT_W_DIAG, ONE_BIT_W_OFF),
             n_samples, rng))
         one_minus_f = 1.0 - f
     else:
@@ -183,16 +217,6 @@ def fidelity_one_bit(
         context=ctx,
         nominal_time=t,
     )
-
-
-def _one_bit_amp(areas: np.ndarray, t: float, ctx: GateContext) -> np.ndarray:
-    """amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i> for batched areas, with
-    U(A) = cos(A/2) 1 + sin(A/2) B the carrier rotation."""
-    b = _carrier_b(ctx.phi)
-    ideal = ideal_one_bit_gate(t, ctx).conj()
-    # amp[n, i, j'] = cos(A_n/2) conj(U_ideal[i, j']) + sin(A_n/2) (B^T conj(U_ideal))[i, j']
-    cos_part = np.multiply.outer(np.cos(0.5 * areas), ideal)
-    return cos_part + np.multiply.outer(np.sin(0.5 * areas), b.T @ ideal)
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +282,11 @@ _TWO_BIT_FAMILIES = {
     "30": (TWO_BIT_W_OFF, tuple((ip, j, j, ip) for ip, j in ((3, 0), (3, 1), (0, 3), (1, 3)))),
     "32": (TWO_BIT_W_OFF, ((3, 2, 2, 3), (2, 3, 3, 2))),
 }
+
+
+# The two-bit gate's table: 4 of its 27 terms have a nonzero logical block.
+_TWO_BIT_TABLE = _logical_table(
+    [pulse_parts(step) for step in UNIVERSAL_SEQUENCE], ideal_two_bit_gate(), LOGICAL_INDICES)
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
@@ -338,7 +367,7 @@ def fidelity_two_bit(
     elif method is Method.MONTE_CARLO:
         f, stderr = map(float, _mc_moments(
             pulse_distributions(ctx),
-            lambda *a: _amp_to_fidelity(_two_bit_amp(*a), TWO_BIT_W_DIAG, TWO_BIT_W_OFF),
+            lambda *a: _amp_to_fidelity(_table_amp(_TWO_BIT_TABLE, *a), TWO_BIT_W_DIAG, TWO_BIT_W_OFF),
             n_samples, rng))
         one_minus_f = 1.0 - f
     else:
@@ -354,32 +383,6 @@ def fidelity_two_bit(
     )
 
 
-def _two_bit_amp(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-    """amp[n, i, j'] = <j'|U_ideal^dag W(A1, A2, A3)|i> for (n,) area arrays.
-
-    Each logical column is carried as {basis index: amplitude} through only
-    the coupled_pairs blocks it reaches, never as a dense 18-vector; the
-    dense reference is composite_action.
-    """
-    cols = [{start: 1.0} for start in LOGICAL_INDICES]
-    for step, a in zip(UNIVERSAL_SEQUENCE, (a1, a2, a3)):
-        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
-        off_hi, off_lo = -1j * np.exp(-1j * step.phase) * s, -1j * np.exp(1j * step.phase) * s
-        for hi, lo in coupled_pairs(step):
-            for col in cols:
-                if hi in col or lo in col:
-                    x_hi, x_lo = col.get(hi, 0.0), col.get(lo, 0.0)
-                    col[hi] = c * x_hi + off_hi * x_lo
-                    col[lo] = off_lo * x_hi + c * x_lo
-    ideal = ideal_two_bit_gate()[:, list(LOGICAL_INDICES)].conj()
-    amp = np.zeros((len(a1), 4, 4), dtype=complex)
-    for i, col in enumerate(cols):
-        for d, x in col.items():
-            for j in np.flatnonzero(ideal[d]):
-                amp[:, i, j] += ideal[d, j] * x
-    return amp
-
-
 def mc_two_bit_tensor(
     ctx: GateContext, n_samples: int, rng: np.random.Generator | None = None
 ) -> tuple[FidelityTensor, np.ndarray]:
@@ -387,7 +390,7 @@ def mc_two_bit_tensor(
     and its per-element standard errors."""
 
     def products(*areas):
-        amp = _two_bit_amp(*areas)
+        amp = _table_amp(_TWO_BIT_TABLE, *areas)
         return amp[:, None, :, :, None] * amp.conj()[:, :, None, None, :]  # [n, i', i, j', j]
 
     mean, stderr = _mc_moments(pulse_distributions(ctx), products, n_samples, rng)
@@ -401,33 +404,14 @@ def fidelity_mc_two_bit(
     return fidelity_two_bit(ctx, Method.MONTE_CARLO, n_samples, rng)
 
 
-def _averaged_pulse(step, dist: AreaDistribution, m: np.ndarray) -> np.ndarray:
-    """E[U(A) m U(A)^dag] for a batch m of (DIM, DIM) operators.
-
-    With U(A) = q + cos(A/2) r + sin(A/2) b (gates.pulse_parts), the average
-    is nine fixed products of m weighted by five Gauss moments of A:
-    E[c], E[s], E[c^2], E[s^2] and E[s c], for c = cos(A/2), s = sin(A/2).
-    """
-    q, r, b = pulse_parts(step)
-    bh = b.conj().T
-
-    def moments(a):
-        c, s = np.cos(0.5 * a), np.sin(0.5 * a)
-        return np.stack([c, s, c * c, s * s, s * c], axis=-1)
-
-    (c, s, cc, ss, sc), _ = gauss_average(moments, dist)
-    return (q @ m @ q + c * (r @ m @ q + q @ m @ r) + s * (b @ m @ q + q @ m @ bh)
-            + cc * (r @ m @ r) + ss * (b @ m @ bh) + sc * (r @ m @ bh + b @ m @ r))
-
-
 def quad_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
-    """Quadrature oracle for the two-bit tensor: all sixteen |i><i'| pushed
-    at once through the three area-averaged pulses in turn (exact by
-    independence of the pulse areas)."""
-    logical, i = np.array(LOGICAL_INDICES), np.arange(4)
-    m = np.zeros((4, 4, DIM, DIM), dtype=complex)
-    m[i[:, None], i, logical, logical[:, None]] = 1.0  # m[i', i] = |i><i'|
-    for step, dist in zip(UNIVERSAL_SEQUENCE, pulse_distributions(ctx)):
-        m = _averaged_pulse(step, dist, m)
-    cols = ideal_two_bit_gate()[:, logical]
-    return FidelityTensor.full(cols.conj().T @ m @ cols)
+    """Quadrature oracle for the two-bit tensor: F[i',i,j',j] = sum_kl G[k,l]
+    T[k,i,j'] conj(T[l,i',j]) with G[k,l] = E[w_k w_l] = prod_p M_p[codes[k,p],
+    codes[l,p]] by independence of the pulse areas, and M_p = E[v(A_p) v(A_p)^T]
+    by the Gauss rule, once per distinct distribution."""
+    codes, table = _TWO_BIT_TABLE
+    dists = pulse_distributions(ctx)
+    moments = {d: gauss_average(lambda a: np.einsum("ni,nj->nij", _v(a), _v(a)), d)[0]
+               for d in set(dists)}
+    g = np.prod([moments[d][np.ix_(c, c)] for d, c in zip(dists, codes.T)], axis=0)
+    return FidelityTensor.full(np.einsum("kl,kab,lcd->cabd", g, table, table.conj()))

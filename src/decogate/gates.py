@@ -8,6 +8,10 @@ the center-of-mass mode.  Each sideband pulse rotates the two-dimensional
 blocks {|excited>_n |0>, |g>_n |1>} and leaves every other basis state alone;
 that block structure is exact for all states reachable from the logical
 register, which is what justifies the phonon truncation.
+
+Every pulse is written once as parts (q, r, b), U(A) = q + cos(A/2) r +
+sin(A/2) b: r projects onto the rotated blocks, q = 1 - r, and b is their
+off-diagonal part (`carrier_parts`, `pulse_parts`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statemath import LOGICAL_INDICES, basis_index
+from .statemath import basis_index
 
 DIM = 18
 
@@ -76,18 +80,18 @@ UNIVERSAL_SEQUENCE = (
 )
 
 
+def carrier_parts(phi: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, r, b) of the carrier rotation on {|g>, |e>}: it rotates the whole
+    space, so q = 0 and r = 1, and b = [[0, -i e^{-i phi}], [-i e^{i phi}, 0]]."""
+    b = np.array([[0.0, -1j * np.exp(-1j * phi)], [-1j * np.exp(1j * phi), 0.0]])
+    return np.zeros((2, 2)), np.eye(2), b
+
+
 def one_bit_unitary(area: float, phi: float = 0.0) -> np.ndarray:
     """Carrier rotation on {|g>, |e>}: |g> -> cos(A/2)|g> - i e^{i phi}
     sin(A/2)|e>, |e> -> cos(A/2)|e> - i e^{-i phi} sin(A/2)|g>."""
-    c = math.cos(0.5 * area)
-    s = math.sin(0.5 * area)
-    return np.array(
-        [
-            [c, -1j * np.exp(-1j * phi) * s],
-            [-1j * np.exp(1j * phi) * s, c],
-        ],
-        dtype=complex,
-    )
+    q, r, b = carrier_parts(phi)
+    return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
 
 
 def coupled_pairs(step: PulseStep) -> list[tuple[int, int]]:
@@ -123,38 +127,6 @@ def pulse_unitary(step: PulseStep, area: float) -> np.ndarray:
     """18x18 unitary of one sideband pulse at the given accumulated area."""
     q, r, b = pulse_parts(step)
     return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
-
-
-def apply_pulse_batch(states: np.ndarray, step: PulseStep, areas: np.ndarray) -> np.ndarray:
-    """Apply one pulse at per-sample areas to a batch of state vectors.
-
-    states: (..., 18) complex; areas broadcastable to states[..., 0].
-    Equivalent to pulse_unitary(step, a) @ state, vectorized over samples.
-    """
-    c = np.cos(0.5 * areas)
-    s = np.sin(0.5 * areas)
-    off_hi = -1j * np.exp(-1j * step.phase) * s
-    off_lo = -1j * np.exp(1j * step.phase) * s
-    out = states.copy()
-    for hi, lo in coupled_pairs(step):
-        out[..., hi] = c * states[..., hi] + off_hi * states[..., lo]
-        out[..., lo] = off_lo * states[..., hi] + c * states[..., lo]
-    return out
-
-
-def composite_action(a1, a2, a3) -> np.ndarray:
-    """Act with the three-pulse sequence at areas (a1, a2, a3) on the four
-    logical basis states.  Returns (..., 4, 18)."""
-    a1, a2, a3 = np.broadcast_arrays(
-        np.asarray(a1, float), np.asarray(a2, float), np.asarray(a3, float)
-    )
-    states = np.zeros(a1.shape + (4, DIM), dtype=complex)
-    for i, idx in enumerate(LOGICAL_INDICES):
-        states[..., i, idx] = 1.0
-    areas = (a1[..., None], a2[..., None], a3[..., None])
-    for step, a in zip(UNIVERSAL_SEQUENCE, areas):
-        states = apply_pulse_batch(states, step, a)
-    return states
 
 
 def ideal_two_bit_gate() -> np.ndarray:

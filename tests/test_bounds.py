@@ -80,6 +80,13 @@ def test_required_tau_round_trip():
     assert res.one_minus_f == pytest.approx(target, rel=0.05)
 
 
+@pytest.mark.parametrize("omega, target", [(math.nan, 1e-6), (math.inf, 1e-6), (0.0, 1e-6),
+                                           (1e5, math.nan), (1e5, math.inf)])
+def test_required_tau_rejects_out_of_domain(omega, target):
+    with pytest.raises(ValueError):
+        required_tau(omega, target)
+
+
 def test_required_improvement_factor():
     # relative to tau = 1e-8, required stability improves by >= 300x
     assert 1e-8 / required_tau(1e5, 1e-6) >= 300

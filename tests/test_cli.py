@@ -289,6 +289,32 @@ def test_validate_small_sample_run(capsys):
     assert lines[-1].startswith("TOTAL")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", "--gate", "one-bit", "--rotation", "pi"],
+        ["sweep", "--gate", "two-bit", "--tau-min", "1e-10", "--tau-max", "1e-8", "--points", "2"],
+        ["shor", "--bits", "4"],
+        ["evolve", "--hamiltonian", "h.json", "--t", "1e-5"],
+        ["validate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv, source):
+    _write_hamiltonian(tmp_path / "h.json")
+    argv = [str(tmp_path / a) if a == "h.json" else a for a in argv]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "cfg").write_text("seed = -1\n")
+        argv += ["--config", str(tmp_path / "cfg")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: only the test oracles use it
     code = "import sys, decogate.cli; print([m for m in sys.modules if m.startswith('scipy')])"

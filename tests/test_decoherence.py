@@ -212,16 +212,30 @@ def test_gamma_char_finite_with_modulus_at_most_one(omega, t, tau):
 @pytest.mark.parametrize(
     "closed_form",
     [
-        lambda tau: averaged_phase_factor(1e5, 1e-4, tau),
-        lambda tau: decay_rates(1e5, tau),
-        lambda tau: evolve_energy_basis(DensityMatrix(np.eye(2) / 2), [0.0, 1e5], 1e-4, tau),
-        lambda tau: kernel_integrals(1e-4, 1e5, tau),
+        lambda tau, omega: averaged_phase_factor(omega, 1e-4, tau),
+        lambda tau, omega: decay_rates(omega, tau),
+        lambda tau, omega: evolve_energy_basis(DensityMatrix(np.eye(2) / 2), [0.0, omega], 1e-4, tau),
+        lambda tau, omega: kernel_integrals(1e-4, omega, tau),
     ],
 )
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-8])
-def test_closed_forms_reject_bad_tau(closed_form, tau):
-    with pytest.raises(ValueError, match="tau"):
-        closed_form(tau)
+@pytest.mark.parametrize(
+    "tau, omega, bad",
+    [
+        (math.nan, 1e5, "tau"),
+        (math.inf, 1e5, "tau"),
+        (-1e-8, 1e5, "tau"),
+        (1e-8, math.nan, "omega"),
+        (1e-8, math.inf, "omega"),
+        (1e-8, -math.inf, "omega"),
+    ],
+    ids=["nan", "inf", "-1e-08", "omega=nan", "omega=inf", "omega=-inf"],
+)
+# an infinite energy makes numpy warn on the inf - inf gap before gamma_char
+# rejects it; the error is what is tested
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_closed_forms_reject_bad_tau(closed_form, tau, omega, bad):
+    with pytest.raises(ValueError, match=bad):
+        closed_form(tau, omega)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -27,10 +27,14 @@ from decogate.fidelity import (
     rbar_one_bit,
 )
 from decogate.gates import (
+    DIM,
     UNIVERSAL_SEQUENCE,
     GateContext,
-    composite_action,
+    carrier_parts,
+    ideal_one_bit_gate,
     ideal_two_bit_gate,
+    one_bit_unitary,
+    pulse_parts,
 )
 from decogate.statemath import LOGICAL_INDICES, validate_density
 
@@ -160,6 +164,13 @@ def test_fractional_error():
     assert fractional_error(1e-4, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("t, tau", [(math.nan, 1e-8), (math.inf, 1e-8), (1e-4, math.nan),
+                                    (1e-4, math.inf), (0.0, 1e-8), (1e-4, -1e-8)])
+def test_fractional_error_rejects_out_of_domain(t, tau):
+    with pytest.raises(ValueError):
+        fractional_error(t, tau)
+
+
 # --- oracle agreement --------------------------------------------------------
 
 
@@ -219,9 +230,21 @@ def test_quadrature_oracles_match_closed_forms_over_the_noise_range(noise):
             assert abs(getattr(k, name) - quad_average(f, dist)) < 1e-12, name
 
 
+def dense_logical_states(a1, a2, a3):
+    """W(A_n)|i> for the logical |i> as (n, 4, 18): the dense 18x18 pulse
+    unitaries q + cos(A/2) r + sin(A/2) b applied in sequence, batched over
+    samples by broadcasting."""
+    states = np.eye(DIM, dtype=complex)[:, list(LOGICAL_INDICES)]
+    for step, a in zip(UNIVERSAL_SEQUENCE, (a1, a2, a3)):
+        q, r, b = pulse_parts(step)
+        c, s = np.cos(0.5 * a)[:, None, None], np.sin(0.5 * a)[:, None, None]
+        states = q @ states + c * (r @ states) + s * (b @ states)
+    return np.swapaxes(states, 1, 2)
+
+
 def rbar_two_bit_mc(ctx, n_samples, rng):
     """Monte Carlo averaged process operators Rbar[i', i] as (4, 4, 18, 18)."""
-    states = composite_action(*(sample_area(d, rng, n_samples) for d in pulse_distributions(ctx)))
+    states = dense_logical_states(*(sample_area(d, rng, n_samples) for d in pulse_distributions(ctx)))
     return np.einsum("nid,npe->pide", states, states.conj()) / n_samples
 
 
@@ -304,22 +327,36 @@ def test_per_sample_fidelity_is_the_tensor_contraction():
 
 def _dense_two_bit_amp(a1, a2, a3):
     cols = ideal_two_bit_gate()[:, list(LOGICAL_INDICES)]
-    return np.einsum("dj,nid->nij", cols.conj(), composite_action(a1, a2, a3))
+    return np.einsum("dj,nid->nij", cols.conj(), dense_logical_states(a1, a2, a3))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_two_bit_amp_matches_dense_composition(seed):
     rng = np.random.default_rng(seed)
     areas = [rng.uniform(0.0, 4 * math.pi, 256) for _ in range(3)]
-    sparse = fidelity_mod._two_bit_amp(*areas)
-    assert np.abs(sparse - _dense_two_bit_amp(*areas)).max() < 1e-13
+    amp = fidelity_mod._table_amp(fidelity_mod._TWO_BIT_TABLE, *areas)
+    assert np.abs(amp - _dense_two_bit_amp(*areas)).max() < 1e-13
 
 
 def test_two_bit_amp_at_nominal_areas_is_identity():
     areas = [np.array([step.nominal_area]) for step in UNIVERSAL_SEQUENCE]
-    sparse = fidelity_mod._two_bit_amp(*areas)
-    assert np.abs(sparse - _dense_two_bit_amp(*areas)).max() < 1e-13
-    assert np.abs(sparse[0] - np.eye(4)).max() < 1e-13
+    amp = fidelity_mod._table_amp(fidelity_mod._TWO_BIT_TABLE, *areas)
+    assert np.abs(amp - _dense_two_bit_amp(*areas)).max() < 1e-13
+    assert np.abs(amp[0] - np.eye(4)).max() < 1e-13
+    # 4 of the 27 products of one part per pulse reach the logical block
+    assert len(fidelity_mod._TWO_BIT_TABLE[1]) == 4
+
+
+def test_one_bit_amp_matches_the_carrier_rotation():
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8, phi=0.7)
+    ideal = ideal_one_bit_gate(0.6 * T_PI, ctx)
+    table = fidelity_mod._logical_table((carrier_parts(ctx.phi),), ideal, (0, 1))
+    areas = np.random.default_rng(8).uniform(0.0, 4 * math.pi, 64)
+    amp = fidelity_mod._table_amp(table, areas)
+    # amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i>
+    want = [(ideal.conj().T @ one_bit_unitary(a, ctx.phi)).T for a in areas]
+    assert np.abs(amp - np.array(want)).max() < 1e-13
+    assert len(table[1]) == 2
 
 
 # --- limits -------------------------------------------------------------------

@@ -10,8 +10,6 @@ from decogate.gates import (
     UNIVERSAL_SEQUENCE,
     GateContext,
     PulseStep,
-    apply_pulse_batch,
-    composite_action,
     coupled_pairs,
     ideal_one_bit_gate,
     ideal_two_bit_gate,
@@ -129,31 +127,6 @@ def test_ideal_two_bit_gate_sign_structure():
     ideal = ideal_two_bit_gate()
     logical = ideal[np.ix_(LOGICAL_INDICES, LOGICAL_INDICES)]
     assert np.abs(logical - np.diag([1.0, 1.0, 1.0, -1.0])).max() < 1e-14
-
-
-def test_composite_action_matches_matrix_product():
-    rng = np.random.default_rng(2)
-    a1, a2, a3 = rng.uniform(0.5, 6.0, size=3)
-    states = np.eye(DIM, dtype=complex)[list(LOGICAL_INDICES)]
-    out = composite_action(np.array([a1]), np.array([a2]), np.array([a3]))
-    u = np.eye(DIM, dtype=complex)
-    for step, area in zip(UNIVERSAL_SEQUENCE, (a1, a2, a3)):
-        u = pulse_unitary(step, area) @ u
-    ref = (u @ states.T).T
-    assert np.abs(out[0] - ref).max() < 1e-13
-
-
-def test_apply_pulse_batch_matches_single():
-    step = UNIVERSAL_SEQUENCE[1]
-    rng = np.random.default_rng(4)
-    areas = rng.uniform(0.1, 6.0, size=7)
-    vec = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
-    vec /= np.linalg.norm(vec)
-    batch = np.broadcast_to(vec, (7, DIM)).copy()
-    out = apply_pulse_batch(batch, step, areas)
-    for n, area in enumerate(areas):
-        ref = pulse_unitary(step, float(area)) @ vec
-        assert np.abs(out[n] - ref).max() < 1e-13
 
 
 def test_ideal_one_bit_gate_is_carrier_rotation():
