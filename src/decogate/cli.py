@@ -274,18 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fidelity", help="gate fidelity at fixed parameters")
-    _add_common(p)
+    def command(name, handler, summary, physical=True):
+        # each handler reports usage errors on its own subparser
+        p = sub.add_parser(name, help=summary)
+        _add_common(p, physical)
+        p.set_defaults(func=lambda args: handler(args, p))
+        return p
+
+    p = command("fidelity", cmd_fidelity, "gate fidelity at fixed parameters")
     p.add_argument("--gate", choices=["one-bit", "two-bit"], required=True)
     p.add_argument("--method", choices=["analytic", "mc"], default="analytic")
     p.add_argument("--rotation", choices=["pi"], default=None,
                    help="nominal one-bit rotation (pi pulse)")
     p.add_argument("--time", type=float, default=None, help="one-bit rotation time [s]")
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-    p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("sweep", help="1-F vs fractional area error on a tau grid")
-    _add_common(p)
+    p = command("sweep", cmd_sweep, "1-F vs fractional area error on a tau grid")
     p.add_argument("--gate", choices=["one-bit", "two-bit"], required=True)
     p.add_argument("--tau-min", type=float, required=True)
     p.add_argument("--tau-max", type=float, required=True)
@@ -293,17 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["analytic", "mc"], default="analytic")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--fit", action="store_true", help="append log-log slope fit")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("shor", help="feasibility report for factoring an L-bit number")
-    _add_common(p)
+    p = command("shor", cmd_shor, "feasibility report for factoring an L-bit number")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="feasibility threshold on total_time*gamma (default 0.1)")
-    p.set_defaults(func=cmd_shor)
 
-    p = sub.add_parser("evolve", help="exact averaged map vs second-order truncation")
-    _add_common(p, physical=False)
+    p = command("evolve", cmd_evolve, "exact averaged map vs second-order truncation",
+                physical=False)
     p.add_argument("--hamiltonian", required=True,
                    help="JSON matrix file: list of rows of [re, im] entries")
     p.add_argument("--t", type=float, required=True, help="final time [s]")
@@ -311,21 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=50, help="output grid size")
     p.add_argument("--rho0-eigenbasis", action="store_true",
                    help="start in the Hamiltonian ground eigenstate")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("validate", help="closed-form vs oracle cross-check suite")
-    _add_common(p, physical=False)
+    p = command("validate", cmd_validate, "closed-form vs oracle cross-check suite",
+                physical=False)
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -158,24 +158,32 @@ def sample_area(d: AreaDistribution, rng: np.random.Generator, n: int = 1) -> np
     return rng.gamma(d.shape, d.scale, size=n)
 
 
-def gamma_char(omega, t: float, tau: float):
+def gamma_char(omega, t: float, tau):
     """Characteristic function E[e^{i omega t'}] = (1 - i omega tau)^(-t/tau) of
     t' ~ Gamma(shape t/tau, scale tau) as (log modulus, angle) =
     (-(t/tau) log1p(omega^2 tau^2)/2, (t/tau) arctan(omega tau)), on the
     principal branch for any t/tau and finite for any finite omega tau;
     tau = 0 is the delta limit (0, omega t).
     omega may be an array and must be finite; t and tau must be finite and
-    nonnegative."""
-    if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
-        raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
+    nonnegative.  tau may also be an ndarray of finite, positive entries: the
+    results then have shape np.shape(omega) + tau.shape."""
     # scalars skip the numpy check, which costs about 3 us per call
     if not (math.isfinite(omega) if np.isscalar(omega) else np.isfinite(omega).all()):
         raise ValueError(f"omega must be finite, got {omega}")
-    if tau == 0:
-        return np.zeros(np.shape(omega)), omega * t
+    if isinstance(tau, np.ndarray):
+        if not (math.isfinite(t) and t >= 0 and np.all((tau > 0) & np.isfinite(tau))):
+            raise ValueError(f"t must be finite and nonnegative and every tau finite "
+                             f"and positive, got t={t}, tau={tau}")
+        x = np.multiply.outer(omega, tau)
+    else:
+        if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
+            raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
+        if tau == 0:
+            return np.zeros(np.shape(omega)), omega * t
+        x = omega * tau
     # -k log(1 - i x) = -(k/2) log1p(x^2) + i k arctan(x); the complex log
     # forms no x^2, so it neither overflows at large |x| nor loses small |x|
-    z = -(t / tau) * np.log(1 - 1j * (omega * tau))
+    z = -(t / tau) * np.log(1 - 1j * x)
     return z.real, z.imag
 
 
@@ -242,19 +250,24 @@ class KernelValues:
     z: float
 
 
-def kernel_integrals(t: float, omega_prime: float, tau: float) -> KernelValues:
-    """Closed forms of the averaged pulse kernels from the characteristic
-    function of the area A at the half and the full angle; exact-pulse limits
-    at tau = 0.  C2 and S2 are (1 +- E[cos A])/2, each without cancellation."""
-    w = np.array([omega_prime, 0.5 * omega_prime])
-    (l_full, l_half), (a_full, a_half) = gamma_char(w, t, tau)
-    r_half = math.exp(l_half)
+def kernel_integrals(t: float, omega_prime: float, tau) -> KernelValues:
+    """Closed forms of the averaged pulse kernels; exact-pulse limits at
+    tau = 0.  An ndarray tau gives arrays of its shape."""
+    return _kernels(*gamma_char(np.array([omega_prime, 0.5 * omega_prime]), t, tau))
+
+
+def _kernels(log_modulus, angle) -> KernelValues:
+    """The kernels from the characteristic function of the area A at the full
+    and the half angle, stacked on the first axis of log_modulus and angle.
+    C2 and S2 are (1 +- E[cos A])/2, each without cancellation."""
+    (l_full, l_half), (a_full, a_half) = log_modulus, angle
+    r_half = np.exp(l_half)
     return KernelValues(
-        c1=r_half * math.cos(a_half),
-        s1=r_half * math.sin(a_half),
-        c2=0.5 * float(one_minus_re(l_full, a_full + math.pi)),
-        s2=0.5 * float(one_minus_re(l_full, a_full)),
-        z=0.5 * math.exp(l_full) * math.sin(a_full),
+        c1=r_half * np.cos(a_half),
+        s1=r_half * np.sin(a_half),
+        c2=0.5 * one_minus_re(l_full, a_full + math.pi),
+        s2=0.5 * one_minus_re(l_full, a_full),
+        z=0.5 * np.exp(l_full) * np.sin(a_full),
     )
 
 

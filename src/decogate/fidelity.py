@@ -28,6 +28,7 @@ import numpy as np
 
 from .decoherence import (
     AreaDistribution,
+    _kernels,
     gamma_char,
     gauss_average,
     kernel_integrals,
@@ -160,17 +161,24 @@ def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray
     )
 
 
-def _one_minus_f0000(t: float, ctx: GateContext) -> float:
+def _one_minus_f0000(omega: float, t: float, tau):
     """1 - E[cos^2((A - Omega t)/2)] = (1 - e^l cos(angle - Omega t))/2 with
-    (l, angle) the characteristic function of the carrier area A."""
-    log_modulus, angle = gamma_char(ctx.omega, t, ctx.tau)
-    return 0.5 * float(one_minus_re(log_modulus, angle - ctx.omega * t))
+    (l, angle) the characteristic function of the carrier area A; an ndarray
+    tau gives an array."""
+    log_modulus, angle = gamma_char(omega, t, tau)
+    return 0.5 * one_minus_re(log_modulus, angle - omega * t)
+
+
+def _one_bit_infidelity(omega: float, t: float, tau):
+    """Analytic 1 - F: the contraction weights reduce the tensor to
+    F = 1/4 + (3/4) f0000."""
+    return 0.75 * _one_minus_f0000(omega, t, tau)
 
 
 def f0000_one_bit(t: float, ctx: GateContext) -> float:
     """Closed form of the averaged overlap E[cos^2((A - Omega t)/2)], the
     single independent tensor element of the one-bit gate."""
-    return 1.0 - _one_minus_f0000(t, ctx)
+    return 1.0 - float(_one_minus_f0000(ctx.omega, t, ctx.tau))
 
 
 def closed_one_bit_tensor(t: float, ctx: GateContext) -> FidelityTensor:
@@ -195,8 +203,7 @@ def fidelity_one_bit(
         raise ValueError(f"t must be finite and positive, got {t}")
     stderr = 0.0
     if method is Method.ANALYTIC:
-        # the contraction weights reduce the tensor to F = 1/4 + (3/4) f0000
-        one_minus_f = 0.75 * _one_minus_f0000(t, ctx)
+        one_minus_f = float(_one_bit_infidelity(ctx.omega, t, ctx.tau))
     elif method is Method.MONTE_CARLO:
         table = _logical_table((carrier_parts(ctx.phi),), ideal_one_bit_gate(t, ctx), (0, 1))
         f, stderr = map(float, _mc_moments(
@@ -301,18 +308,19 @@ def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
     )
 
 
-def _two_bit_defects(ctx: GateContext) -> dict[str, float]:
+def _two_bit_defects(omega_prime: float, tau) -> dict:
     """Defects 1 - F of the closed-form two-bit tensor families as sums of
     non-negative terms: exact rearrangements of F2222 = C2^2 + S2^2 C2' -
     2 Z^2 C1', F3333 = C2^2 + S2^2 - 2 Z^2, F20 = C1^2 - S1^2 C1', F30 = S1^2
     - C1^2 and F32 = Z^2 (1 + C1') - C2^2 - S2^2 C1' in the pi-pulse kernels
     and the 2pi-pulse ones (primed).  The 2pi pulse's characteristic function
     is the pi pulse's squared, which gives d1 = 1 + C1' and d2 = 1 - C2' in
-    terms of e = 1 - |E e^{iA}|^2 at the half and the full angle."""
-    wp = ctx.omega_prime
-    k = kernel_integrals(PI / wp, wp, ctx.tau)
-    (l_full, l_half), _ = gamma_char(np.array([wp, 0.5 * wp]), PI / wp, ctx.tau)
-    e_full, e_half = -math.expm1(2 * l_full), -math.expm1(2 * l_half)
+    terms of e = 1 - |E e^{iA}|^2 at the half and the full angle.  An ndarray
+    tau gives arrays."""
+    log_modulus, angle = gamma_char(
+        np.array([omega_prime, 0.5 * omega_prime]), PI / omega_prime, tau)
+    k = _kernels(log_modulus, angle)
+    e_full, e_half = -np.expm1(2 * log_modulus)
     d1 = e_half + 2 * k.c1**2
     d2 = 0.5 * e_full + 4 * k.z**2
     return {
@@ -322,6 +330,12 @@ def _two_bit_defects(ctx: GateContext) -> dict[str, float]:
         "30": d1,
         "32": 2 * k.c2**2 + 0.5 * e_full + k.z**2 * (2 - d1) + k.s2**2 * d1,
     }
+
+
+def _two_bit_infidelity(omega_prime: float, tau):
+    """Analytic 1 - F: the contraction of the closed-form families."""
+    defects = _two_bit_defects(omega_prime, tau)
+    return sum(w * len(e) * defects[n] for n, (w, e) in _TWO_BIT_FAMILIES.items())
 
 
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
@@ -341,7 +355,7 @@ def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
             known[e] = True
 
     put([(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)], 1.0)
-    for name, defect in _two_bit_defects(ctx).items():
+    for name, defect in _two_bit_defects(ctx.omega_prime, ctx.tau).items():
         put(_TWO_BIT_FAMILIES[name][1], 1.0 - defect)
     put([(i, i, j, j) for i in range(4) for j in range(4) if i != j], 0.0)
     return FidelityTensor(n_states=4, values=values, known=known)
@@ -362,8 +376,7 @@ def fidelity_two_bit(
     nominal_time = 4 * PI / ctx.omega_prime
     stderr = 0.0
     if method is Method.ANALYTIC:
-        defects = _two_bit_defects(ctx)
-        one_minus_f = float(sum(w * len(e) * defects[n] for n, (w, e) in _TWO_BIT_FAMILIES.items()))
+        one_minus_f = float(_two_bit_infidelity(ctx.omega_prime, ctx.tau))
     elif method is Method.MONTE_CARLO:
         f, stderr = map(float, _mc_moments(
             pulse_distributions(ctx),

@@ -5,6 +5,10 @@ reports, per point, the dimensionless noise strength (Omega tau or Omega'
 tau), the fractional pulse-area error sqrt(tau/t_ref), and 1-F.  The
 reference time is the pi-pulse duration of the respective gate.  A log-log
 least-squares fit recovers the quadratic small-noise scaling (slope 2).
+
+The analytic grid is one array pass through the same closed forms that a
+single fidelity query uses; Monte Carlo and quadrature still run point by
+point, each Monte Carlo point on its own spawned random stream.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fidelity import Method, fidelity_one_bit, fidelity_two_bit, fractional_error
+from .fidelity import Method, fidelity_one_bit, fidelity_two_bit
+from .fidelity import _one_bit_infidelity, _two_bit_infidelity
 from .gates import GateContext
 
 
@@ -31,6 +36,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.gate not in ("one_bit", "two_bit"):
             raise ValueError("gate must be 'one_bit' or 'two_bit'")
+        for name in ("tau_min", "tau_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau_min <= 0:
             raise ValueError("tau_min must be positive")
         if self.tau_max <= self.tau_min:
@@ -52,31 +60,27 @@ def run_sweep(spec: SweepSpec, seed: int = 0) -> list[SweepRow]:
     """Evaluate the sweep grid; rows in ascending tau, deterministic per seed
     (Monte Carlo points draw from independently spawned per-point streams)."""
     method = Method(spec.method)
+    ctx = spec.context
     taus = np.logspace(math.log10(spec.tau_min), math.log10(spec.tau_max), spec.points)
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(taus))
-    rows = []
-    for tau, child in zip(taus, children):
-        ctx = replace(spec.context, tau=float(tau))
-        rng = np.random.default_rng(child)
-        if spec.gate == "one_bit":
-            t_ref = math.pi / ctx.omega
-            res = fidelity_one_bit(t_ref, ctx, method, spec.mc_samples, rng)
-            omega_tau = ctx.omega * tau
-        else:
-            t_ref = math.pi / ctx.omega_prime
-            res = fidelity_two_bit(ctx, method, spec.mc_samples, rng)
-            omega_tau = ctx.omega_prime * tau
-        rows.append(
-            SweepRow(
-                tau=float(tau),
-                omega_tau=float(omega_tau),
-                fractional_error=fractional_error(t_ref, float(tau)),
-                one_minus_f=res.one_minus_f,
-                stderr=res.stderr,
-            )
-        )
-    return rows
+    one_bit = spec.gate == "one_bit"
+    omega = ctx.omega if one_bit else ctx.omega_prime
+    t_ref = math.pi / omega
+    if method is Method.ANALYTIC:
+        one_minus_f = (_one_bit_infidelity(omega, t_ref, taus) if one_bit
+                       else _two_bit_infidelity(omega, taus))
+        stderr = np.zeros_like(taus)
+    else:
+        results = []
+        for tau, child in zip(taus, np.random.SeedSequence(seed).spawn(len(taus))):
+            point = replace(ctx, tau=float(tau))
+            rng = np.random.default_rng(child)
+            results.append(
+                fidelity_one_bit(t_ref, point, method, spec.mc_samples, rng) if one_bit
+                else fidelity_two_bit(point, method, spec.mc_samples, rng))
+        one_minus_f = [r.one_minus_f for r in results]
+        stderr = [r.stderr for r in results]
+    columns = np.column_stack([taus, omega * taus, np.sqrt(taus / t_ref), one_minus_f, stderr])
+    return [SweepRow(*row) for row in columns.tolist()]
 
 
 def fit_loglog_slope(rows: list[SweepRow]) -> tuple[float, float, float]:

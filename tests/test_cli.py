@@ -123,6 +123,21 @@ def test_sweep_non_finite_parameter_is_usage_error(capsys, flag):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "tau_min, tau_max, field",
+    [("nan", "1e-8", "tau_min"), ("inf", "1e-8", "tau_min"),
+     ("1e-10", "nan", "tau_max"), ("1e-10", "inf", "tau_max")],
+)
+def test_sweep_non_finite_tau_bound_is_usage_error(capsys, tau_min, tau_max, field):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--gate", "two-bit", "--tau-min", tau_min, "--tau-max", tau_max])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be finite" in captured.err
+
+
 def test_shor_four_bit_report(capsys):
     code, out = run(capsys, "shor", "--bits", "4")
     assert code == 0
@@ -289,7 +304,8 @@ def test_validate_small_sample_run(capsys):
     assert lines[-1].startswith("TOTAL")
 
 
-@pytest.mark.parametrize(
+# one valid invocation of every subcommand; "h.json" stands for a Hamiltonian file
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["fidelity", "--gate", "one-bit", "--rotation", "pi"],
@@ -300,6 +316,9 @@ def test_validate_small_sample_run(capsys):
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@EVERY_SUBCOMMAND
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, argv, source):
     _write_hamiltonian(tmp_path / "h.json")
@@ -313,6 +332,16 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv, source):
         main(argv)
     assert exc.value.code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@EVERY_SUBCOMMAND
+def test_usage_error_prints_the_subcommand_usage(tmp_path, capsys, argv):
+    _write_hamiltonian(tmp_path / "h.json")
+    argv = [str(tmp_path / a) if a == "h.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: decogate {argv[0]} ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -259,6 +259,35 @@ def test_gamma_char_is_elementwise_in_omega_and_matches_the_complex_power():
     assert np.array_equal(log_modulus, np.zeros((2, 2))) and np.array_equal(angle, omega * t)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [3e5, -2e4, np.array([2e5, 1e5])])
+def test_gamma_char_with_array_tau_equals_its_scalar_calls(omega):
+    taus = np.logspace(-21, -4, 60)
+    t = 3e-5
+    log_modulus, angle = gamma_char(omega, t, taus)
+    assert log_modulus.shape == angle.shape == np.shape(omega) + taus.shape
+    for k, tau in enumerate(taus.tolist()):
+        want_l, want_a = gamma_char(omega, t, tau)
+        assert np.array_equal(log_modulus[..., k], want_l)
+        assert np.array_equal(angle[..., k], want_a)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan, math.inf])
+def test_gamma_char_rejects_array_tau_with_a_bad_entry(bad):
+    taus = np.array([1e-9, bad, 1e-7])
+    with pytest.raises(ValueError, match="tau"):
+        gamma_char(1e5, 1e-4, taus)
+
+
+def test_kernel_integrals_with_array_tau_equal_its_scalar_calls():
+    taus = np.logspace(-12, -5, 20)
+    k = kernel_integrals(math.pi / 1e5, 1e5, taus)
+    for j, tau in enumerate(taus.tolist()):
+        want = kernel_integrals(math.pi / 1e5, 1e5, tau)
+        for name in ("c1", "s1", "c2", "s2", "z"):
+            assert getattr(k, name)[j] == pytest.approx(getattr(want, name), rel=1e-15, abs=0)
+
+
 # --- averaged phase factor -----------------------------------------------
 
 

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from decogate.fidelity import Method
+import decogate.decoherence
+import decogate.fidelity
+from decogate.fidelity import Method, fidelity_one_bit, fidelity_two_bit, fractional_error
 from decogate.gates import GateContext
 from decogate.sweep import SweepSpec, fit_loglog_slope, run_sweep
 
@@ -73,6 +77,50 @@ def test_spec_validation_errors():
         make_spec(tau_min=1e-8, tau_max=1e-10)
     with pytest.raises(ValueError, match="at least 2 points"):
         make_spec(points=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["tau_min", "tau_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_tau_bounds(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_spec(**{field: value})
+
+
+def _noise_grid_spec(gate, points=200):
+    # Omega tau (Omega' tau) from 1e-16 to 10
+    scale = CTX.omega if gate == "one_bit" else CTX.omega_prime
+    return make_spec(gate=gate, tau_min=1e-16 / scale, tau_max=10 / scale, points=points), scale
+
+
+@pytest.mark.parametrize("gate", ["one_bit", "two_bit"])
+def test_analytic_rows_match_per_point_queries(gate):
+    spec, scale = _noise_grid_spec(gate)
+    t_ref = math.pi / scale
+    rows = run_sweep(spec)
+    grid = np.logspace(math.log10(spec.tau_min), math.log10(spec.tau_max), spec.points)
+    assert [row.tau for row in rows] == grid.tolist()
+    for row in rows:
+        ctx = replace(CTX, tau=row.tau)
+        res = fidelity_one_bit(t_ref, ctx) if gate == "one_bit" else fidelity_two_bit(ctx)
+        assert row.one_minus_f == pytest.approx(res.one_minus_f, rel=1e-15, abs=0)
+        assert row.omega_tau == scale * row.tau
+        assert row.fractional_error == fractional_error(t_ref, row.tau)
+        assert row.stderr == 0.0
+
+
+@pytest.mark.parametrize("gate", ["one_bit", "two_bit"])
+def test_analytic_sweep_evaluates_the_grid_in_one_call(gate, monkeypatch):
+    calls = []
+    for module in (decogate.fidelity, decogate.decoherence):
+        def spy(*args, _inner=module.gamma_char):
+            calls.append(np.shape(args[2]))
+            return _inner(*args)
+
+        monkeypatch.setattr(module, "gamma_char", spy)
+    spec, _ = _noise_grid_spec(gate, points=50)
+    assert len(run_sweep(spec)) == 50
+    assert calls == [(50,)]
 
 
 def test_fit_rejects_degenerate_rows():
