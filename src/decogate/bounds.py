@@ -51,7 +51,12 @@ class FeasibilityReport:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as strict JSON values: an infinite decoherence time
+        (tau = 0, or 1/gamma overflows) is None."""
+        doc = asdict(self)
+        if math.isinf(self.decoherence_time):
+            doc["decoherence_time"] = None
+        return doc
 
 
 def assess(
@@ -62,11 +67,18 @@ def assess(
         raise ValueError(f"feasibility threshold must be finite and positive, got {feasibility_threshold}")
     n_ions = 5 * s.bits
     omega_prime = s.eta * s.omega / math.sqrt(n_ions)
-    gamma = 2.0 * omega_prime**2 * s.tau
-    op_time = 4.0 * math.pi * math.sqrt(n_ions) / (s.eta * s.omega)
+    # no ** and no division by a product, so an overflow or underflow is an
+    # inf for the check below, not an exception
+    gamma = 2.0 * omega_prime * omega_prime * s.tau
+    op_time = 4.0 * math.pi * math.sqrt(n_ions) / s.eta / s.omega
     n_ops = (10 * s.bits) ** 3
     total_time = op_time * n_ops
     ratio = total_time * gamma
+    derived = {"omega_prime": omega_prime, "gamma": gamma, "op_time": op_time,
+               "total_time": total_time, "ratio": ratio}
+    for name, value in derived.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value} for {s}")
     return FeasibilityReport(
         n_ions=n_ions,
         omega_prime=omega_prime,

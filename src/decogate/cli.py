@@ -145,7 +145,7 @@ def cmd_fidelity(args, parser) -> int:
             "seed": args.seed,
         },
     }
-    _emit(args, json.dumps(report, indent=2) + "\n")
+    _emit(args, json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -193,7 +193,7 @@ def cmd_shor(args, parser) -> int:
         report = assess(ShorScenario(args.bits, args.omega, args.eta, args.tau), args.threshold)
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
+    _emit(args, json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return 0
 
 

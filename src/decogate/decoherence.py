@@ -163,28 +163,47 @@ def gamma_char(omega, t: float, tau):
     t' ~ Gamma(shape t/tau, scale tau) as (log modulus, angle) =
     (-(t/tau) log1p(omega^2 tau^2)/2, (t/tau) arctan(omega tau)), on the
     principal branch for any t/tau and finite for any finite omega tau;
-    tau = 0 is the delta limit (0, omega t).
-    omega may be an array and must be finite; t and tau must be finite and
-    nonnegative.  tau may also be an ndarray of finite, positive entries: the
-    results then have shape np.shape(omega) + tau.shape."""
+    tau = 0, and any tau so small that t/tau overflows, is the delta limit
+    (0, omega t).
+    t and tau must be finite and nonnegative, and omega, omega t and omega tau
+    finite; omega may be an array.  tau may also be an ndarray of finite,
+    positive entries: the results then have shape np.shape(omega) + tau.shape."""
     # scalars skip the numpy check, which costs about 3 us per call
     if not (math.isfinite(omega) if np.isscalar(omega) else np.isfinite(omega).all()):
         raise ValueError(f"omega must be finite, got {omega}")
+    # -k log(1 - i x) = -(k/2) log1p(x^2) + i k arctan(x); the complex log
+    # forms no x^2, so it neither overflows at large |x| nor loses small |x|
     if isinstance(tau, np.ndarray):
         if not (math.isfinite(t) and t >= 0 and np.all((tau > 0) & np.isfinite(tau))):
             raise ValueError(f"t must be finite and nonnegative and every tau finite "
                              f"and positive, got t={t}, tau={tau}")
-        x = np.multiply.outer(omega, tau)
-    else:
-        if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
-            raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
-        if tau == 0:
+        _check_products(omega, max(t, float(tau.max(initial=0.0))))
+        with np.errstate(over="ignore"):
+            k = t / tau
+        # where t/tau overflows, the delta limit
+        delta = np.isinf(k)
+        z = -np.where(delta, 0.0, k) * np.log(1 - 1j * np.multiply.outer(omega, tau))
+        return z.real, z.imag + np.multiply.outer(omega, delta) * t
+    if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
+        raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
+    # only outside this range can t/tau, omega t or omega tau overflow
+    if not (t <= 1 and 1e-300 <= tau <= 1):
+        _check_products(omega, max(t, tau))
+        # tau = 0, or so small that t/tau overflows (as Python floats, which
+        # give an inf and no warning): the delta limit
+        if tau == 0 or float(t) / float(tau) == math.inf:
             return np.zeros(np.shape(omega)), omega * t
-        x = omega * tau
-    # -k log(1 - i x) = -(k/2) log1p(x^2) + i k arctan(x); the complex log
-    # forms no x^2, so it neither overflows at large |x| nor loses small |x|
-    z = -(t / tau) * np.log(1 - 1j * x)
+    z = -(t / tau) * np.log(1 - 1j * (omega * tau))
     return z.real, z.imag
+
+
+def _check_products(omega, span: float) -> None:
+    """Raise unless omega t and omega tau are finite, for span = max(t, tau)
+    and a finite omega."""
+    # a span of at most 1 cannot overflow; the product of Python floats is an
+    # inf, not a numpy warning
+    if span > 1 and not math.isfinite(span * float(np.max(np.abs(omega), initial=0.0))):
+        raise ValueError(f"omega*t and omega*tau must be finite, got omega={omega}, max(t, tau)={span}")
 
 
 def one_minus_re(log_modulus, angle):

@@ -5,13 +5,20 @@ U(A)|i><i'|U(A)^dag; the fidelity tensor F[i',i,j',j] compares it to the
 ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
 two bits).  Every analytic path here has an independent Monte Carlo and
-quadrature oracle, and both oracles run on one logical-block table.  With
-each pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the gate W(A) =
-U_p(A_p) ... U_1(A_1) expands over one part per pulse, and its amplitudes
-<j'|U^dag W(A)|i> on the logical states are sum_k w_k(A) T[k, i, j'], where
-w_k(A) = prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2), sin(A/2)).
-Monte Carlo samples w; quadrature averages each w_k w_l with the Gamma Gauss
-rule of `decoherence.gauss_average`.  The closed forms do not use the table.
+quadrature oracle, and both rest on one logical-block table.  With each pulse
+U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the gate W(A) = U_p(A_p) ...
+U_1(A_1) expands over one part per pulse, and its amplitudes <d|U^dag W(A)|i>
+on the logical states |i> are sum_k w_k(A) T[k, i, d], where w_k(A) =
+prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2), sin(A/2)).  Quadrature
+averages each w_k w_l with the Gamma Gauss rule of `decoherence.gauss_average`.
+
+Monte Carlo averages a per-sample infidelity 1 - F_n, not F_n, so a 1 - F
+far below the rounding of F = 1 is still resolved.  Rebasing each pulse's
+parts to its nominal area A0 gives the table in the area deviations delta =
+A - A0, with v replaced by u(delta) = (1, sin(delta/2), 2 sin^2(delta/4)); its
+all-zero code term is the ideal gate, and by unitarity 1 - F_n is a sum of
+squares of the remaining terms, ||w(delta) @ K||^2 for one real kernel K per
+gate (`_infidelity_kernel`).  The closed forms do not use the table.
 
 Every Monte Carlo estimate runs one chunked loop (`_mc_moments`) over exactly
 the requested number of samples per pulse and reports the per-sample
@@ -20,6 +27,7 @@ standard error; there is no batch count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -115,14 +123,17 @@ def _v(a: np.ndarray) -> np.ndarray:
     return np.stack([np.ones_like(a), np.cos(0.5 * a), np.sin(0.5 * a)], axis=-1)
 
 
-def _logical_table(parts_seq, ideal: np.ndarray, logical) -> tuple[np.ndarray, np.ndarray]:
+def _logical_table(parts_seq, ideal: np.ndarray, logical, leak: bool = False):
     """(codes, T) of the gate whose pulses have the parts (q, r, b) in
-    parts_seq, in time order; only terms with a nonzero logical block stay."""
+    parts_seq, in time order: T[k, i, d] = <d|U^dag W_k|i> for the logical
+    |i>, with d over the logical states and then, if leak, over every other
+    state.  Only terms with a nonzero T[k] stay."""
+    rows = list(logical) + [d for d in range(len(ideal)) if leak and d not in logical]
     cols = np.eye(len(ideal))[:, list(logical)]
     terms = cols[None]
     for parts in parts_seq:
         terms = np.einsum("cde,kel->kcdl", np.stack(parts), terms).reshape(-1, *cols.shape)
-    table = np.swapaxes(cols.T @ ideal.conj().T @ terms, 1, 2)
+    table = np.swapaxes(np.eye(len(ideal))[:, rows].T @ ideal.conj().T @ terms, 1, 2)
     codes = np.array(list(np.ndindex(*(3,) * len(parts_seq))))
     keep = np.any(table != 0, axis=(1, 2))
     return codes[keep], table[keep]
@@ -136,6 +147,47 @@ def _table_amp(table, *areas) -> np.ndarray:
     for a, c in zip(areas, codes.T):
         w = w * _v(a)[:, c]
     return (w @ t.reshape(len(t), -1)).reshape(-1, *t.shape[1:])
+
+
+# Table entries are sums of products of entries of unit-norm parts, so an
+# entry that is 0 in exact arithmetic comes out as a few ulp at most; the
+# kernel treats anything this small as 0.
+_ROUNDING = 1e-12
+
+
+def _infidelity_kernel(pulses, ideal: np.ndarray, logical, w_diag: float, w_off: float):
+    """(nominal areas, codes, K) with 1 - F_n = ||w(delta_n) @ K||^2 for the
+    gate whose pulses are the (parts, nominal area) pairs in `pulses`.
+
+    Each pulse's parts are rebased to its nominal area A0, U(A0 + delta) =
+    (q + c0 r + s0 b) + sin(delta/2) (c0 b - s0 r) - 2 sin^2(delta/4) (c0 r +
+    s0 b) with (c0, s0) = (cos, sin)(A0/2), so w_k = prod_p u(delta_p)[codes[k,
+    p]].  The all-zero code term is the ideal gate (checked) and is dropped;
+    the rest give the logical block E = M - 1 and the leaked amplitudes
+    directly.  By unitarity and n sum|x_i|^2 - |sum x_i|^2 = sum_{i<j}|x_i -
+    x_j|^2, the contraction is 1 - F_n = w_off sum_{i<j}|E_ii - E_jj|^2 +
+    (w_off (n - 2) + w_diag) sum_{i!=j}|E_ij|^2 + (w_off (n - 1) + w_diag) *
+    leaked norm, a sum of squares of real linear forms in w: K's columns.
+    """
+    rebased = []
+    for (q, r, b), a0 in pulses:
+        c0, s0 = math.cos(0.5 * a0), math.sin(0.5 * a0)
+        rebased.append((q + c0 * r + s0 * b, c0 * b - s0 * r, -(c0 * r + s0 * b)))
+    codes, t = _logical_table(rebased, ideal, logical, leak=True)
+    n = len(logical)
+    if codes[0].any() or np.abs(t[0] - np.eye(*t.shape[1:])).max() > _ROUNDING:
+        raise ValueError("the pulses at their nominal areas do not make the ideal gate")
+    codes, t = codes[1:], t[1:]
+    i, j = np.triu_indices(n, 1)
+    terms = np.concatenate([
+        math.sqrt(w_off) * (t[:, i, i] - t[:, j, j]),
+        math.sqrt(w_off * (n - 2) + w_diag) * t[:, :, :n][:, ~np.eye(n, dtype=bool)],
+        math.sqrt(w_off * (n - 1) + w_diag) * t[:, :, n:].reshape(len(t), -1),
+    ], axis=1)
+    k = np.concatenate([terms.real, terms.imag], axis=1)
+    k[np.abs(k) <= _ROUNDING] = 0.0
+    rows = k.any(axis=1)
+    return tuple(a0 for _, a0 in pulses), codes[rows], k[rows][:, k.any(axis=0)]
 
 
 # --------------------------------------------------------------------------
@@ -205,12 +257,11 @@ def fidelity_one_bit(
     if method is Method.ANALYTIC:
         one_minus_f = float(_one_bit_infidelity(ctx.omega, t, ctx.tau))
     elif method is Method.MONTE_CARLO:
-        table = _logical_table((carrier_parts(ctx.phi),), ideal_one_bit_gate(t, ctx), (0, 1))
-        f, stderr = map(float, _mc_moments(
+        kernel = _infidelity_kernel(((carrier_parts(ctx.phi), ctx.omega * t),),
+                                    ideal_one_bit_gate(t, ctx), (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+        one_minus_f, stderr = map(float, _mc_moments(
             (AreaDistribution(t, ctx.tau, ctx.omega),),
-            lambda a: _amp_to_fidelity(_table_amp(table, a), ONE_BIT_W_DIAG, ONE_BIT_W_OFF),
-            n_samples, rng))
-        one_minus_f = 1.0 - f
+            _kernel_statistic(kernel), n_samples, rng))
     else:
         # the same reduction by quadrature: 1 - F = (3/4) E[sin^2((A - Omega t)/2)]
         one_minus_f = 0.75 * float(gauss_average(
@@ -261,16 +312,32 @@ def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | Non
     return mean, np.sqrt(m2 / ((count - 1) * count))
 
 
-def _amp_to_fidelity(amp: np.ndarray, w_diag: float, w_off: float) -> np.ndarray:
-    """Per-sample fidelities from amp[n, i, j'] = <j'|U^dag W|i>.
+def _kernel_statistic(kernel):
+    """statistic(*areas) for _mc_moments: the per-sample 1 - F_n =
+    ||w(A_n - A0) @ K||^2 for kernel = (A0, codes, K) and one area array per
+    pulse, of at most _MC_CHUNK samples.
 
-    contract_fidelity applied to one sample's tensor F[i',i,j',j] =
-    amp[i,j'] conj(amp[i',j]) reduces to F_n = w_off (sum_ij |a_ij|^2 +
-    |sum_i a_ii|^2) + (w_diag - 2 w_off) sum_i |a_ii|^2.
+    Samples run along the last axis, where row gathers and sums over rows are
+    fast, and the work arrays are reused from chunk to chunk: fresh ones of
+    the two-bit size cost a page fault per 4 KB, most of the time otherwise.
     """
-    p = np.abs(amp) ** 2
-    off = p.sum(axis=(1, 2)) + np.abs(np.einsum("nii->n", amp)) ** 2
-    return w_off * off + (w_diag - 2 * w_off) * np.einsum("nii->n", p)
+    nominal, codes, k = kernel
+    w_all, g_all, y_all = (np.empty((m, _MC_CHUNK)) for m in (len(codes), len(codes), k.shape[1]))
+
+    def statistic(*areas):
+        n = len(areas[0])
+        w, g, y = w_all[:, :n], g_all[:, :n], y_all[:, :n]
+        w.fill(1.0)
+        for a, a0, c in zip(areas, nominal, codes.T):
+            d = a - a0
+            u = np.stack([np.ones_like(d), np.sin(0.5 * d), 2 * np.sin(0.25 * d) ** 2])
+            # mode="clip" (the codes are in range) lets take write into g unbuffered
+            w *= np.take(u, c, axis=0, out=g, mode="clip")
+        np.matmul(k.T, w, out=y)
+        y *= y
+        return y.sum(axis=0)
+
+    return statistic
 
 
 # --------------------------------------------------------------------------
@@ -294,6 +361,15 @@ _TWO_BIT_FAMILIES = {
 # The two-bit gate's table: 4 of its 27 terms have a nonzero logical block.
 _TWO_BIT_TABLE = _logical_table(
     [pulse_parts(step) for step in UNIVERSAL_SEQUENCE], ideal_two_bit_gate(), LOGICAL_INDICES)
+
+
+@functools.cache
+def _two_bit_kernel():
+    """The two-bit gate's Monte Carlo kernel, 16 of its 26 deviation terms
+    on 8 real columns; built on first use, so importing costs nothing."""
+    return _infidelity_kernel(
+        [(pulse_parts(step), step.nominal_area) for step in UNIVERSAL_SEQUENCE],
+        ideal_two_bit_gate(), LOGICAL_INDICES, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
@@ -378,11 +454,8 @@ def fidelity_two_bit(
     if method is Method.ANALYTIC:
         one_minus_f = float(_two_bit_infidelity(ctx.omega_prime, ctx.tau))
     elif method is Method.MONTE_CARLO:
-        f, stderr = map(float, _mc_moments(
-            pulse_distributions(ctx),
-            lambda *a: _amp_to_fidelity(_table_amp(_TWO_BIT_TABLE, *a), TWO_BIT_W_DIAG, TWO_BIT_W_OFF),
-            n_samples, rng))
-        one_minus_f = 1.0 - f
+        one_minus_f, stderr = map(float, _mc_moments(
+            pulse_distributions(ctx), _kernel_statistic(_two_bit_kernel()), n_samples, rng))
     else:
         tensor = quad_two_bit_tensor(ctx)
         one_minus_f = 1.0 - contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)

@@ -50,6 +50,9 @@ class GateContext:
             raise ValueError("need at least one trapped ion")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        if self.omega_prime == 0:
+            raise ValueError(f"sideband Rabi frequency eta*omega/sqrt(n_ions) underflows to 0 "
+                             f"at omega={self.omega}")
 
     @property
     def omega_prime(self) -> float:

@@ -17,10 +17,18 @@ def run(capsys, *argv):
     return code, out
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_fidelity_one_bit_json(capsys):
     code, out = run(capsys, "fidelity", "--gate", "one-bit", "--rotation", "pi")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["gate"] == "one-bit"
     assert doc["method"] == "analytic"
     assert doc["one_minus_fidelity"] == pytest.approx(5.885859331267e-4, rel=1e-9)
@@ -141,7 +149,7 @@ def test_sweep_non_finite_tau_bound_is_usage_error(capsys, tau_min, tau_max, fie
 def test_shor_four_bit_report(capsys):
     code, out = run(capsys, "shor", "--bits", "4")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["n_ions"] == 20
     assert doc["gamma"] == pytest.approx(0.1, rel=1e-9)
     assert doc["decoherence_time"] == pytest.approx(10.0, rel=1e-9)
@@ -149,6 +157,53 @@ def test_shor_four_bit_report(capsys):
     assert doc["total_time"] == pytest.approx(359.6705142292852, rel=1e-9)
     assert doc["ratio"] == pytest.approx(35.96705142292852, rel=1e-9)
     assert doc["feasible"] is False
+
+
+def test_shor_at_tau_zero_writes_a_null_decoherence_time(capsys):
+    code, out = run(capsys, "shor", "--bits", "4", "--tau", "0")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["decoherence_time"] is None
+    assert doc["gamma"] == 0.0 and doc["feasible"] is True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gate", [["one-bit", "--rotation", "pi"], ["two-bit"]])
+def test_fidelity_at_a_subnormal_tau_is_the_delta_limit(capsys, gate):
+    # t/tau overflows; the answer is the tau = 0 one, in strict JSON
+    code, out = run(capsys, "fidelity", "--gate", *gate, "--tau", "5e-324")
+    assert code == 0
+    _, exact = run(capsys, "fidelity", "--gate", *gate, "--tau", "0")
+    doc, want = strict_json(out), strict_json(exact)
+    assert (doc["fidelity"], doc["one_minus_fidelity"]) == (want["fidelity"], want["one_minus_fidelity"])
+
+
+def test_fidelity_refuses_to_print_a_nan(capsys, monkeypatch):
+    import decogate.cli as cli
+    from decogate.fidelity import GateFidelityResult, Method
+
+    def nan_result(ctx, *args):
+        return GateFidelityResult(math.nan, math.nan, Method.ANALYTIC, 0.0, ctx, 1.0)
+
+    monkeypatch.setattr(cli, "fidelity_two_bit", nan_result)
+    assert main(["fidelity", "--gate", "two-bit"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_and_evolve_at_a_subnormal_tau_print_finite_rows(tmp_path, capsys):
+    code, out = run(capsys, "sweep", "--gate", "one-bit", "--tau-min", "5e-324",
+                    "--tau-max", "1e-300", "--points", "3")
+    assert code == 0
+    rows = [line.split(",")[1:] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+    h = tmp_path / "h.json"
+    _write_hamiltonian(h)
+    code, out = run(capsys, "evolve", "--hamiltonian", str(h), "--t", "3e-5",
+                    "--tau", "5e-324", "--points", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_shor_bad_bits_is_usage_error():
@@ -174,6 +229,20 @@ def test_sweep_fit_at_tiny_noise(capsys):
     # fractional area error
     code, out = run(capsys, "sweep", "--gate", "one-bit", "--tau-min", "1e-21",
                     "--tau-max", "1e-18", "--points", "5", "--fit")
+    assert code == 0
+    slope = float(out.strip().splitlines()[-1].split()[1].removeprefix("slope="))
+    assert slope == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("gate", ["one-bit", "two-bit"])
+def test_mc_sweep_fit_at_tiny_noise(capsys, gate):
+    # every per-sample F rounds to 1 here; the per-sample infidelity keeps
+    # each 1-F positive, so the fit runs and finds the quadratic law
+    argv = ["sweep", "--gate", gate, "--tau-min", "1e-21", "--tau-max", "1e-18",
+            "--points", "3", "--method", "mc", "--fit"]
+    code, _ = run(capsys, *argv, "--samples", "1000")
+    assert code == 0
+    code, out = run(capsys, *argv, "--samples", "100000")
     assert code == 0
     slope = float(out.strip().splitlines()[-1].split()[1].removeprefix("slope="))
     assert slope == pytest.approx(2.0, abs=0.05)

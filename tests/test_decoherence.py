@@ -272,6 +272,20 @@ def test_gamma_char_with_array_tau_equals_its_scalar_calls(omega):
         assert np.array_equal(angle[..., k], want_a)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [5e-324, 1e-320, 1e-314])
+@pytest.mark.parametrize("t", [3e-5, np.float64(3e-5)], ids=["float", "float64"])
+def test_gamma_char_takes_the_delta_limit_where_t_over_tau_overflows(tau, t):
+    for omega in (1e5, np.array([2e3, 1e3])):
+        assert np.array_equal(gamma_char(omega, t, tau), gamma_char(omega, t, 0.0))
+        # the array branch, entry by entry, next to a tau where t/tau is finite
+        log_modulus, angle = gamma_char(omega, t, np.array([tau, 1e-8]))
+        for k, x in enumerate((tau, 1e-8)):
+            want_l, want_a = gamma_char(omega, t, x)
+            assert np.array_equal(log_modulus[..., k], want_l)
+            assert np.array_equal(angle[..., k], want_a)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan, math.inf])
 def test_gamma_char_rejects_array_tau_with_a_bad_entry(bad):
     taus = np.array([1e-9, bad, 1e-7])

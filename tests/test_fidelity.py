@@ -182,6 +182,22 @@ def test_one_bit_mc_within_five_sigma():
     assert mc.stderr > 0
 
 
+@pytest.mark.parametrize("noise", np.geomspace(1e-16, 1e-1, 6))
+def test_mc_infidelity_within_five_sigma_down_to_tiny_noise(noise):
+    # Omega tau (one bit) and Omega' tau (two bit) = noise; below ~1e-8 every
+    # per-sample F rounds to 1, so this needs the per-sample infidelity
+    rng = np.random.default_rng(11)
+    ctx1 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=noise / 1e5)
+    ctx2 = ctx_at_op_tau(noise)
+    for mc, exact in (
+        (fidelity_one_bit(T_PI, ctx1, Method.MONTE_CARLO, 20_000, rng), fidelity_one_bit(T_PI, ctx1)),
+        (fidelity_mc_two_bit(ctx2, 20_000, rng), fidelity_two_bit(ctx2)),
+    ):
+        assert mc.stderr > 0
+        assert abs(mc.one_minus_f - exact.one_minus_f) < 5 * mc.stderr
+        assert mc.fidelity == 1.0 - mc.one_minus_f
+
+
 def test_one_bit_quadrature_matches_closed_form():
     exact = fidelity_one_bit(T_PI, CTX)
     quad = fidelity_one_bit(T_PI, CTX, Method.QUADRATURE)
@@ -315,16 +331,6 @@ def test_mc_moments_merge_without_cancellation():
     assert stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(n), rel=1e-6, abs=0)
 
 
-def test_per_sample_fidelity_is_the_tensor_contraction():
-    rng = np.random.default_rng(6)
-    amp = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    per_sample = fidelity_mod._amp_to_fidelity(amp, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
-    for a, f in zip(amp, per_sample):
-        tensor = FidelityTensor.full(np.einsum("ij,kl->kijl", a, a.conj()))
-        want = contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
-        assert f == pytest.approx(want, rel=1e-13)
-
-
 def _dense_two_bit_amp(a1, a2, a3):
     cols = ideal_two_bit_gate()[:, list(LOGICAL_INDICES)]
     return np.einsum("dj,nid->nij", cols.conj(), dense_logical_states(a1, a2, a3))
@@ -345,6 +351,58 @@ def test_two_bit_amp_at_nominal_areas_is_identity():
     assert np.abs(amp[0] - np.eye(4)).max() < 1e-13
     # 4 of the 27 products of one part per pulse reach the logical block
     assert len(fidelity_mod._TWO_BIT_TABLE[1]) == 4
+
+
+def _per_sample_infidelity(amp, w_diag, w_off):
+    """1 - contract_fidelity of each sample's tensor F[i',i,j',j] =
+    amp[i,j'] conj(amp[i',j]): the subtraction the kernel avoids."""
+    return np.array([1.0 - contract_fidelity(FidelityTensor.full(np.einsum("ij,kl->kijl", a, a.conj())),
+                                             w_diag, w_off) for a in amp])
+
+
+def _assert_kernel_matches_dense(got, want):
+    # the dense side forms 1 - F by subtraction, so it carries a few ulp of 1
+    # on top of the 1e-12 relative; test_mpmath_oracle covers small deviations
+    keep = want >= 1e-6
+    assert keep.sum() > len(want) // 2
+    assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12 * want[keep] + 16 * np.finfo(float).eps)
+
+
+def _random_deviations(rng, n, low, high):
+    return rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(low, high, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_two_bit_kernel_matches_the_dense_per_sample_contraction(seed):
+    rng = np.random.default_rng(seed)
+    areas = [step.nominal_area + _random_deviations(rng, 400, -4, 0.5) for step in UNIVERSAL_SEQUENCE]
+    got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(*areas)
+    want = _per_sample_infidelity(_dense_two_bit_amp(*areas), TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+    _assert_kernel_matches_dense(got, want)
+    # 16 of the 26 deviation terms reach 8 real columns
+    assert fidelity_mod._two_bit_kernel()[2].shape == (16, 8)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+def test_one_bit_kernel_matches_the_dense_per_sample_contraction(phi):
+    rng = np.random.default_rng(9)
+    a0 = 1.3
+    ideal = one_bit_unitary(a0, phi)
+    kernel = fidelity_mod._infidelity_kernel(
+        ((carrier_parts(phi), a0),), ideal, (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+    areas = a0 + _random_deviations(rng, 400, -4, 0.5)
+    got = fidelity_mod._kernel_statistic(kernel)(areas)
+    amp = np.array([(ideal.conj().T @ one_bit_unitary(a, phi)).T for a in areas])
+    _assert_kernel_matches_dense(got, _per_sample_infidelity(amp, ONE_BIT_W_DIAG, ONE_BIT_W_OFF))
+    # one term, sin(delta/2) b, so 1 - F_n = (3/4) sin^2(delta/2) for any phi
+    assert np.allclose(got, 0.75 * np.sin(0.5 * (areas - a0)) ** 2, rtol=1e-14, atol=0)
+    assert len(kernel[1]) == 1
+
+
+def test_kernel_refuses_pulses_that_miss_the_ideal_gate():
+    with pytest.raises(ValueError, match="ideal gate"):
+        fidelity_mod._infidelity_kernel(((carrier_parts(0.0), 1.3),), one_bit_unitary(1.4),
+                                        (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
 
 
 def test_one_bit_amp_matches_the_carrier_rotation():

@@ -1,9 +1,11 @@
-"""1-F of both analytic gates against a 50-digit mpmath oracle.
+"""1-F of both analytic gates, and the per-sample two-bit Monte Carlo kernel,
+against a 50-digit mpmath oracle.
 
-The oracle evaluates the Gamma characteristic function (1 - i s x)^(-k) and
-the tensor closed forms in 50-digit arithmetic, for the exact float inputs
-the library receives, so 1 - F there carries no cancellation error even at
-Omega*tau = 1e-16.
+The oracle evaluates the Gamma characteristic function (1 - i s x)^(-k), the
+tensor closed forms and the dense 18x18 pulse products in 50-digit
+arithmetic, for the exact float inputs the library receives, so 1 - F there
+carries no cancellation error even at Omega*tau = 1e-16 or a 1e-10 rad area
+deviation.
 """
 
 import math
@@ -12,9 +14,11 @@ import mpmath
 import numpy as np
 import pytest
 
+import decogate.fidelity as fidelity_mod
 from decogate.decoherence import gamma_char
-from decogate.fidelity import fidelity_one_bit, fidelity_two_bit
-from decogate.gates import GateContext
+from decogate.fidelity import TWO_BIT_W_DIAG, TWO_BIT_W_OFF, fidelity_one_bit, fidelity_two_bit
+from decogate.gates import UNIVERSAL_SEQUENCE, GateContext, ideal_two_bit_gate, pulse_parts
+from decogate.statemath import LOGICAL_INDICES
 
 mpmath.mp.dps = 50
 
@@ -84,3 +88,35 @@ def test_gamma_char_matches_mpmath_from_tiny_to_huge_omega_tau(x):
     log_modulus, angle = gamma_char(x, k, 1.0)
     assert _rel_err(log_modulus, mpmath.re(want)) <= 1e-15
     assert _rel_err(angle, mpmath.im(want)) <= 1e-15
+
+
+def two_bit_sample_infidelity_mp(areas):
+    """1 - F_n of one sample from the dense 18x18 pulse products, with each
+    pulse at its exact nominal area (pi or 2pi) plus the float deviation
+    A - A0 that the library sees."""
+    states = mpmath.matrix(np.eye(18)[:, list(LOGICAL_INDICES)].tolist())
+    for step, a in zip(UNIVERSAL_SEQUENCE, areas):
+        half = (round(step.nominal_area / math.pi) * mpmath.pi + (mpmath.mpf(a) - step.nominal_area)) / 2
+        q, r, b = (mpmath.matrix(m.tolist()) for m in pulse_parts(step))
+        states = (q + mpmath.cos(half) * r + mpmath.sin(half) * b) * states
+    ideal = np.diag(ideal_two_bit_gate()).real
+    # amp[i, j'] = <j'|U^dag W|i>; F_n = w_off (sum|amp|^2 + |tr amp|^2) + (w_diag - 2 w_off) sum|amp_ii|^2
+    amp = [[ideal[d] * states[d, i] for d in LOGICAL_INDICES] for i in range(4)]
+    diag = [amp[i][i] for i in range(4)]
+    total = sum(abs(x) ** 2 for row in amp for x in row)
+    w_diag, w_off = mpmath.mpf(1) / 8, mpmath.mpf(1) / 24
+    f = w_off * (total + abs(sum(diag)) ** 2) + (w_diag - 2 * w_off) * sum(abs(x) ** 2 for x in diag)
+    return 1 - f
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_bit_kernel_matches_mpmath_dense_product(seed):
+    # deviations of 1e-10 to 1e-1 rad of either sign: of one scale on odd
+    # seeds (1 - F_n down to ~1e-20), of independent scales on even ones
+    assert (TWO_BIT_W_DIAG, TWO_BIT_W_OFF) == (1 / 8, 1 / 24)
+    rng = np.random.default_rng(seed)
+    exponents = rng.uniform(-9.7, -1, 1) + rng.uniform(-0.3, 0, 3) if seed % 2 else rng.uniform(-10, -1, 3)
+    deviations = rng.choice([-1.0, 1.0], 3) * 10**exponents
+    areas = [step.nominal_area + d for step, d in zip(UNIVERSAL_SEQUENCE, deviations)]
+    got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(*(np.array([a]) for a in areas))
+    assert _rel_err(float(got[0]), two_bit_sample_infidelity_mp(areas)) <= 1e-12

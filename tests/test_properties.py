@@ -1,0 +1,111 @@
+"""Every public entry point returns finite output or raises ValueError.
+
+Hypothesis draws tau >= 0 (subnormals included) and any finite omega and t;
+under the suite's RuntimeWarning filter, an overflow or NaN that numpy only
+warns about fails the test too.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decogate.bounds import ShorScenario, assess
+from decogate.decoherence import (
+    averaged_phase_factor,
+    decay_rates,
+    evolve_energy_basis,
+    gamma_char,
+    kernel_integrals,
+)
+from decogate.fidelity import closed_two_bit_tensor, fidelity_one_bit, fidelity_two_bit
+from decogate.gates import GateContext
+from decogate.statemath import DensityMatrix
+
+TAU = st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def finite_or_value_error(call):
+    """call() with its result checked finite, or None if it raised ValueError."""
+    try:
+        out = call()
+    except ValueError:
+        return None
+    assert np.all(np.isfinite(out)), out
+    return out
+
+
+def context(omega, tau):
+    return GateContext(omega=omega, eta=0.1, n_ions=20, tau=tau)
+
+
+def gate_values(gate, ctx):
+    res = gate(ctx)
+    return [res.fidelity, res.one_minus_f]
+
+
+@PROPERTY
+@given(omega=FINITE, t=FINITE, tau=TAU)
+def test_analytic_gate_fidelities(omega, t, tau):
+    for gate in (lambda ctx: fidelity_one_bit(t, ctx), fidelity_two_bit):
+        finite_or_value_error(lambda: gate_values(gate, context(omega, tau)))
+
+
+@PROPERTY
+@given(omega=FINITE, tau=TAU)
+def test_closed_two_bit_tensor_known_entries(omega, tau):
+    def known():
+        tensor = closed_two_bit_tensor(context(omega, tau))
+        return tensor.values[tensor.known]
+
+    finite_or_value_error(known)
+
+
+@PROPERTY
+@given(omega=FINITE, t=FINITE, tau=TAU)
+def test_kernels_rates_and_phase_factor(omega, t, tau):
+    finite_or_value_error(lambda: list(vars(kernel_integrals(t, omega, tau)).values()))
+    finite_or_value_error(lambda: list(vars(decay_rates(omega, tau)).values()))
+    finite_or_value_error(lambda: averaged_phase_factor(omega, t, tau))
+
+
+# a gap that overflows makes numpy warn before gamma_char rejects it; the
+# error is what is tested (an np.errstate guard would add a few percent to
+# every evolve_energy_basis call)
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+@PROPERTY
+@given(omega=FINITE, t=FINITE, tau=TAU)
+def test_evolve_energy_basis(omega, t, tau):
+    rho0 = DensityMatrix(np.full((3, 3), 1 / 3, dtype=complex))
+    finite_or_value_error(lambda: evolve_energy_basis(rho0, [0.0, omega, -omega], t, tau).matrix)
+
+
+@PROPERTY
+@given(bits=st.integers(1, 10**6), omega=FINITE, eta=FINITE, tau=TAU)
+def test_assess_report_is_finite_strict_json(bits, omega, eta, tau):
+    try:
+        doc = assess(ShorScenario(bits, omega, eta, tau)).to_dict()
+    except ValueError:
+        return
+    # strict JSON: no NaN or Infinity; an infinite decoherence time is null
+    json.dumps(doc, allow_nan=False)
+    assert (doc["decoherence_time"] is None) == (doc["gamma"] == 0 or 1 / doc["gamma"] == math.inf)
+
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_char(1e300, 1e10, 0.0),     # omega t overflows
+    lambda: gamma_char(1e300, 1e-5, 1e10),    # omega tau overflows
+    lambda: gamma_char(1e300, 1e-5, np.array([1e-8, 1e10])),
+    lambda: context(5e-324, 1e-8),            # omega' underflows to 0
+    lambda: assess(ShorScenario(4, 1e300, 0.1, 1e-8)),   # gamma overflows
+    lambda: assess(ShorScenario(4, 1e-320, 1e-5, 1e-8)),  # op_time overflows
+], ids=["omega_t", "omega_tau", "omega_tau_array", "omega_prime", "gamma", "op_time"])
+def test_overflow_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
