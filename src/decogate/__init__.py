@@ -6,7 +6,6 @@ from .decoherence import (
     DecayChannel,
     DegenerateDistributionError,
     KernelValues,
-    TimeDistribution,
     averaged_phase_factor,
     decay_rates,
     evolve_energy_basis,
@@ -14,8 +13,6 @@ from .decoherence import (
     kernel_integrals,
     mc_average,
     one_minus_re,
-    pdf_area,
-    pdf_time,
     quad_average,
     sample_area,
 )

@@ -59,6 +59,14 @@ class FeasibilityReport:
         return doc
 
 
+def _as_float(n: int) -> float:
+    """n as a float, inf where it is too large for one."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
 def assess(
     s: ShorScenario, feasibility_threshold: float = DEFAULT_FEASIBILITY_THRESHOLD
 ) -> FeasibilityReport:
@@ -66,13 +74,14 @@ def assess(
     if not (math.isfinite(feasibility_threshold) and feasibility_threshold > 0):
         raise ValueError(f"feasibility threshold must be finite and positive, got {feasibility_threshold}")
     n_ions = 5 * s.bits
-    omega_prime = s.eta * s.omega / math.sqrt(n_ions)
-    # no ** and no division by a product, so an overflow or underflow is an
-    # inf for the check below, not an exception
-    gamma = 2.0 * omega_prime * omega_prime * s.tau
-    op_time = 4.0 * math.pi * math.sqrt(n_ions) / s.eta / s.omega
     n_ops = (10 * s.bits) ** 3
-    total_time = op_time * n_ops
+    # no **, no division by a product and no int too large for a float, so
+    # an overflow or underflow is an inf for the check below, not an exception
+    sqrt_ions = math.sqrt(_as_float(n_ions))
+    omega_prime = s.eta * s.omega / sqrt_ions
+    gamma = 2.0 * omega_prime * omega_prime * s.tau
+    op_time = 4.0 * math.pi * sqrt_ions / s.eta / s.omega
+    total_time = op_time * _as_float(n_ops)
     ratio = total_time * gamma
     derived = {"omega_prime": omega_prime, "gamma": gamma, "op_time": op_time,
                "total_time": total_time, "ratio": ratio}

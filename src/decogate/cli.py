@@ -16,7 +16,8 @@ import numpy as np
 from . import validate as validate_mod
 from .bounds import DEFAULT_FEASIBILITY_THRESHOLD, ShorScenario, assess
 from .dynamics import HamiltonianSpec, compare_evolutions
-from .fidelity import MIN_MC_SAMPLES, Method, fidelity_one_bit, fidelity_two_bit
+from .decoherence import MIN_MC_SAMPLES
+from .fidelity import Method, fidelity_one_bit, fidelity_two_bit
 from .gates import GateContext
 from .statemath import DensityMatrix
 from .sweep import SweepSpec, fit_loglog_slope, run_sweep
@@ -34,29 +35,37 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _read_config(path: str) -> dict[str, str]:
+# Every key a config file may set: its cast and its default.
+_SETTINGS = {
+    "omega": (float, DEFAULT_OMEGA),
+    "eta": (float, DEFAULT_ETA),
+    "ions": (int, DEFAULT_IONS),
+    "tau": (float, DEFAULT_TAU),
+    "seed": (int, DEFAULT_SEED),
+    "samples": (int, 1_000_000),
+    "threshold": (float, DEFAULT_FEASIBILITY_THRESHOLD),
+}
+
+
+def _read_config(path: str) -> dict:
+    """The settings of a key = value file, each cast as _SETTINGS says."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, val = (part.strip() for part in line.partition("="))
+            if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+            if key not in _SETTINGS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            cast = _SETTINGS[key][0]
+            try:
+                cfg[key] = cast(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a valid {cast.__name__}") from None
     return cfg
-
-
-_CONFIG_KEYS = {
-    "omega": float,
-    "eta": float,
-    "ions": int,
-    "tau": float,
-    "seed": int,
-    "samples": int,
-    "threshold": float,
-}
 
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -67,21 +76,9 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             cfg = _read_config(args.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-    defaults = {
-        "omega": DEFAULT_OMEGA,
-        "eta": DEFAULT_ETA,
-        "ions": DEFAULT_IONS,
-        "tau": DEFAULT_TAU,
-        "seed": DEFAULT_SEED,
-        "samples": 1_000_000,
-        "threshold": DEFAULT_FEASIBILITY_THRESHOLD,
-    }
-    for key, cast in _CONFIG_KEYS.items():
-        if getattr(args, key, None) is None:
-            if key in cfg:
-                setattr(args, key, cast(cfg[key]))
-            elif hasattr(args, key):
-                setattr(args, key, defaults[key])
+    for key, (_, default) in _SETTINGS.items():
+        if getattr(args, key, None) is None and (key in cfg or hasattr(args, key)):
+            setattr(args, key, cfg.get(key, default))
     # numpy refuses a negative seed; every subcommand takes one, used or not
     if args.seed < 0:
         parser.error(f"seed must be nonnegative, got {args.seed}")

@@ -4,13 +4,16 @@ The model treats the elapsed evolution time (equivalently, the accumulated
 pulse area) as a Gamma-distributed random variable with shape t/tau and scale
 tau (area: Omega*tau).  Averaging unitary evolution over that distribution
 decays off-diagonal density-matrix elements in the energy basis while leaving
-populations untouched.  This module provides the distributions, their
-sampling, the decay/shift rates, the averaged phase factor, the closed-form
-pulse-average kernels, and the Monte Carlo and Gauss-rule oracles used to
-cross-check every closed form.  The Gauss rule for the Gamma weight is built
-from the Gamma's three-term recurrence alone (Golub-Welsch), never from its pdf
-or its characteristic function, so it stays independent of the closed forms.
-"""
+populations untouched.  This module provides the one distribution,
+`AreaDistribution` (the time itself at omega_mean = 1), its sampling, the
+decay/shift rates, the averaged phase factor, the closed-form pulse-average
+kernels, and the two oracles that cross-check every closed form: one chunked
+Monte Carlo loop (`_mc_moments`, `mc_average`) and one Gauss rule for the
+Gamma weight (`gauss_average`, `quad_average`).  The distribution decides
+once whether it is the delta at its mean (`degenerate`), and both oracles
+read that decision.  The Gauss rule is built from the Gamma's three-term
+recurrence alone (Golub-Welsch), never from its pdf or its characteristic
+function, so it stays independent of the closed forms."""
 
 from __future__ import annotations
 
@@ -29,46 +32,7 @@ _JACOBI_MAX_SHAPE, _JACOBI_SPAN = 4.0, 50.0
 
 
 class DegenerateDistributionError(ValueError):
-    """Raised when a pdf is requested at tau = 0 (delta-function limit)."""
-
-
-@dataclass(frozen=True)
-class TimeDistribution:
-    """Gamma distribution over the effective evolution time.
-
-    Shape t/tau, scale tau; mean t, variance tau*t.  tau -> 0 collapses to a
-    delta at t (callers must branch on tau == 0 before evaluating the pdf).
-    """
-
-    t: float
-    tau: float
-
-    def __post_init__(self):
-        _check_time_scales(self.t, self.tau)
-
-    @property
-    def shape(self) -> float:
-        return self.t / self.tau
-
-    @property
-    def scale(self) -> float:
-        return self.tau
-
-    @property
-    def mean(self) -> float:
-        return self.t
-
-    @property
-    def variance(self) -> float:
-        return self.tau * self.t
-
-    def log_pdf(self, t_prime):
-        return _gamma_log_pdf(np.asarray(t_prime, dtype=float), self.shape, self.scale)
-
-    def pdf(self, t_prime):
-        if self.tau == 0:
-            raise DegenerateDistributionError("degenerate distribution; use delta limit")
-        return np.exp(self.log_pdf(t_prime))
+    """Raised when a pdf or a sample is requested of the delta-function limit."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +40,8 @@ class AreaDistribution:
     """Gamma distribution over the accumulated pulse area.
 
     Shape t/tau, scale omega_mean*tau; mean omega_mean*t, variance
-    omega_mean^2*t*tau, so the fractional error is sqrt(tau/t).
+    omega_mean^2*t*tau, so the fractional error is sqrt(tau/t).  With
+    omega_mean = 1 it is the distribution of the evolution time itself.
     """
 
     t: float
@@ -84,9 +49,20 @@ class AreaDistribution:
     omega_mean: float
 
     def __post_init__(self):
-        _check_time_scales(self.t, self.tau)
-        if not (math.isfinite(self.omega_mean) and self.omega_mean > 0):
-            raise ValueError(f"mean frequency must be finite and positive, got {self.omega_mean}")
+        if not (all(map(math.isfinite, (self.t, self.tau, self.omega_mean)))
+                and self.t > 0 and self.tau >= 0 and self.omega_mean > 0):
+            raise ValueError(f"need finite t > 0, tau >= 0 and omega_mean > 0, got {self}")
+        for name in ("mean", "scale", "variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"the area distribution's {name} overflows for {self}")
+        if not (self.degenerate or self.shape > 0):
+            raise ValueError(f"the area distribution's shape t/tau underflows to 0 for {self}")
+
+    @property
+    def degenerate(self) -> bool:
+        """The delta at the mean: tau = 0, or tau so small that t/tau
+        overflows (the limit gamma_char takes).  Every oracle reads this."""
+        return self.tau == 0 or float(self.t) / float(self.tau) == math.inf
 
     @property
     def shape(self) -> float:
@@ -102,58 +78,33 @@ class AreaDistribution:
 
     @property
     def variance(self) -> float:
-        return self.omega_mean**2 * self.t * self.tau
+        return self.mean * self.scale
 
     def log_pdf(self, a):
-        return _gamma_log_pdf(np.asarray(a, dtype=float), self.shape, self.scale)
+        """log pdf at the areas a, safe for shapes up to ~1e6."""
+        if self.degenerate:
+            raise DegenerateDistributionError("degenerate distribution; use delta limit")
+        shape, scale = self.shape, self.scale
+        scalar = np.ndim(a) == 0
+        x = np.atleast_1d(np.asarray(a, dtype=float))
+        out = np.full(x.shape, -np.inf)
+        pos = x > 0
+        xs = x[pos] / scale
+        out[pos] = (shape - 1.0) * np.log(xs) - xs - math.lgamma(shape) - math.log(scale)
+        # x == 0 has finite density only for shape == 1 (exponential)
+        if shape == 1.0:
+            out[x == 0] = -math.log(scale)
+        elif shape < 1.0:
+            out[x == 0] = np.inf
+        return out[0] if scalar else out
 
     def pdf(self, a):
-        if self.tau == 0:
-            raise DegenerateDistributionError("degenerate distribution; use delta limit")
         return np.exp(self.log_pdf(a))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return sample_area(self, rng, n)
-
-
-def _check_time_scales(t: float, tau: float) -> None:
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"nominal time t must be finite and positive, got {t}")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"scaling time tau must be finite and nonnegative, got {tau}")
-
-
-def _gamma_log_pdf(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
-    """log pdf of Gamma(shape, scale), safe for shapes up to ~1e6."""
-    if scale == 0:
-        raise DegenerateDistributionError("degenerate distribution; use delta limit")
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0
-    xs = x[pos] / scale
-    out[pos] = (
-        (shape - 1.0) * np.log(xs) - xs - math.lgamma(shape) - math.log(scale)
-    )
-    # x == 0 has finite density only for shape == 1 (exponential)
-    if shape == 1.0:
-        out[x == 0] = -math.log(scale)
-    elif shape < 1.0:
-        out[x == 0] = np.inf
-    return out[0] if scalar else out
-
-
-def pdf_time(d: TimeDistribution, t_prime):
-    return d.pdf(t_prime)
-
-
-def pdf_area(d: AreaDistribution, a):
-    return d.pdf(a)
 
 
 def sample_area(d: AreaDistribution, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw n samples of the pulse area; valid for any shape t/tau > 0."""
-    if d.tau == 0:
+    if d.degenerate:
         raise DegenerateDistributionError("degenerate distribution; use delta limit")
     return rng.gamma(d.shape, d.scale, size=n)
 
@@ -290,15 +241,43 @@ def _kernels(log_modulus, angle) -> KernelValues:
     )
 
 
+# Fewest samples a Monte Carlo estimate accepts, for every estimator.
+MIN_MC_SAMPLES = 1000
+# Samples drawn and reduced at a time; bounds working memory, not the result.
+_MC_CHUNK = 4096
+
+
+def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | None):
+    """Mean and standard error of statistic(*areas), an (n, ...) array, over
+    exactly n_samples draws of one area from each distribution in dists
+    (a degenerate distribution is the delta at its mean).
+
+    Chunk means and centred sums of squares are merged with Chan's formula,
+    which unlike a raw sum of squares stays accurate when the statistic
+    barely varies (F near 1).  Complex spreads add in quadrature.
+    """
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples, got {n_samples}")
+    rng = np.random.default_rng(0) if rng is None else rng
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n_samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, n_samples - start)
+        areas = [np.full(n, d.mean) if d.degenerate else sample_area(d, rng, n) for d in dists]
+        x = statistic(*areas)
+        x_mean = x.mean(axis=0)
+        delta, share = x_mean - mean, n / (count + n)
+        m2 = m2 + (np.abs(x - x_mean) ** 2).sum(axis=0) + np.abs(delta) ** 2 * count * share
+        mean = mean + delta * share
+        count += n
+    return mean, np.sqrt(m2 / ((count - 1) * count))
+
+
 def mc_average(f, d: AreaDistribution, n: int, rng: np.random.Generator):
-    """Sample mean and standard error of f(A) under the area distribution."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    samples = sample_area(d, rng, n)
-    vals = np.asarray(f(samples), dtype=float)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return mean, stderr
+    """Sample mean and standard error of f(A) over exactly n draws of the
+    area, n >= MIN_MC_SAMPLES; f maps an (n,) array of areas to an (n,)
+    array.  At a degenerate d every sample is f at the mean."""
+    mean, stderr = _mc_moments((d,), f, n, rng)
+    return float(mean), float(stderr)
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,30 +298,35 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     i = np.arange(1, n, dtype=float)
     if k >= _JACOBI_MAX_SHAPE:
-        return _golub_welsch(2 * np.arange(n) / math.sqrt(k), np.sqrt(i * (i + k - 1) / k))
+        return _golub_welsch(2 * np.arange(n) / math.sqrt(k), np.sqrt(i * (1 + (i - 1) / k)))
     b = k - 1.0  # Jacobi exponents (0, b) of (1 - u)^0 (1 + u)^b on [-1, 1]
     s = 2 * i + b
-    diag = np.concatenate(([b / (b + 2)], b * b / (s * (s + 2))))
-    u, w = _golub_welsch(diag, 2 * i * (i + b) / (s * np.sqrt((s + 1) * (s - 1))))
+    # b + 2, i + b and s +- 1 from k: from b, i = 1 rounds them to 0 at k < 2^-52
+    diag = np.concatenate(([b / (k + 1)], b * b / (s * (s + 2))))
+    u, w = _golub_welsch(diag, 2 * i * (i - 1 + k) / (s * np.sqrt((2 * i + k) * (2 * (i - 1) + k))))
     x = 0.5 * _JACOBI_SPAN * (1.0 + u)
     w = w * np.exp(-x)
     return (x - k) / math.sqrt(k), w / w.sum()
 
 
-def gauss_average(f, d: AreaDistribution | TimeDistribution):
+def gauss_average(f, d: AreaDistribution):
     """E[f(A)] by the Gamma Gauss rule at 32, 64, ... nodes, until two
     successive estimates agree within QUAD_ABS_TOL * max(1, |value|).
 
-    f maps an (n,) array of areas (times) to an (n, ...) array.  Returns
-    (value, difference of the last two estimates); tau = 0 is the delta at
-    the mean.  Raises RuntimeError if 512 nodes do not converge.
+    f maps an (n,) array of areas to an (n, ...) array.  Returns
+    (value, difference of the last two estimates); a degenerate d is the
+    delta at the mean.  Raises RuntimeError if 512 nodes do not converge.
     """
-    if d.tau == 0:
+    if d.degenerate:
         return f(np.array([d.mean]))[0], 0.0
+    sd = math.sqrt(d.variance)
 
     def estimate(n: int):
         y, w = _gamma_rule(d.shape, n)
-        return np.tensordot(w, f(d.mean + math.sqrt(d.variance) * y), axes=1)
+        # as Python floats, an overflow is an inf and no numpy warning
+        if not math.isfinite(d.mean + sd * float(y[-1])):
+            raise ValueError(f"the Gauss rule's largest node overflows for {d}")
+        return np.tensordot(w, f(d.mean + sd * y), axes=1)
 
     prev = estimate(_GAUSS_NODES[0])
     for n in _GAUSS_NODES[1:]:
@@ -357,10 +341,11 @@ def gauss_average(f, d: AreaDistribution | TimeDistribution):
     )
 
 
-def quad_average(f, d: AreaDistribution | TimeDistribution) -> float:
+def quad_average(f, d: AreaDistribution) -> float:
     """E[f(A)] by the Gamma Gauss rule, calling f on one float at a time;
-    the independent oracle for every closed-form kernel."""
-    if d.tau == 0:
+    the independent oracle for every closed-form kernel.  A degenerate d
+    raises DegenerateDistributionError."""
+    if d.degenerate:
         raise DegenerateDistributionError("degenerate distribution; use delta limit")
     value, _ = gauss_average(lambda a: np.array([float(f(x)) for x in a.tolist()]), d)
     return float(value)

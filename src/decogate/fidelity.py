@@ -20,9 +20,11 @@ all-zero code term is the ideal gate, and by unitarity 1 - F_n is a sum of
 squares of the remaining terms, ||w(delta) @ K||^2 for one real kernel K per
 gate (`_infidelity_kernel`).  The closed forms do not use the table.
 
-Every Monte Carlo estimate runs one chunked loop (`_mc_moments`) over exactly
-the requested number of samples per pulse and reports the per-sample
-standard error; there is no batch count.
+Both oracles are the ones of `decoherence`: every Monte Carlo estimate runs
+its one chunked loop (`_mc_moments`) over exactly the requested number of
+samples per pulse and reports the per-sample standard error, and every
+quadrature runs its one Gauss rule; each reads the distribution's own
+decision whether it is the delta at its mean (tau = 0, or t/tau overflows).
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from enum import Enum
 import numpy as np
 
 from .decoherence import (
+    _MC_CHUNK,
     AreaDistribution,
     _kernels,
+    _mc_moments,
     gamma_char,
     gauss_average,
     kernel_integrals,
     one_minus_re,
-    sample_area,
 )
 from .gates import (
     PI,
@@ -257,11 +260,11 @@ def fidelity_one_bit(
     if method is Method.ANALYTIC:
         one_minus_f = float(_one_bit_infidelity(ctx.omega, t, ctx.tau))
     elif method is Method.MONTE_CARLO:
-        kernel = _infidelity_kernel(((carrier_parts(ctx.phi), ctx.omega * t),),
+        # the distribution first: it names an overflowing nominal area Omega t
+        dist = AreaDistribution(t, ctx.tau, ctx.omega)
+        kernel = _infidelity_kernel(((carrier_parts(ctx.phi), dist.mean),),
                                     ideal_one_bit_gate(t, ctx), (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
-        one_minus_f, stderr = map(float, _mc_moments(
-            (AreaDistribution(t, ctx.tau, ctx.omega),),
-            _kernel_statistic(kernel), n_samples, rng))
+        one_minus_f, stderr = map(float, _mc_moments((dist,), _kernel_statistic(kernel), n_samples, rng))
     else:
         # the same reduction by quadrature: 1 - F = (3/4) E[sin^2((A - Omega t)/2)]
         one_minus_f = 0.75 * float(gauss_average(
@@ -281,35 +284,8 @@ def fidelity_one_bit(
 # Monte Carlo estimator
 # --------------------------------------------------------------------------
 
-# Fewest samples a Monte Carlo estimate accepts, for every estimator.
-MIN_MC_SAMPLES = 1000
-# Samples drawn and reduced at a time; bounds working memory, not the result.
-_MC_CHUNK = 4096
-
-
-def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | None):
-    """Mean and standard error of statistic(*areas), an (n, ...) array, over
-    exactly n_samples draws of one area from each distribution in dists
-    (tau = 0 is the delta at the mean).
-
-    Chunk means and centred sums of squares are merged with Chan's formula,
-    which unlike a raw sum of squares stays accurate when the statistic
-    barely varies (F near 1).  Complex spreads add in quadrature.
-    """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples, got {n_samples}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, n_samples, _MC_CHUNK):
-        n = min(_MC_CHUNK, n_samples - start)
-        areas = [np.full(n, d.mean) if d.tau == 0 else sample_area(d, rng, n) for d in dists]
-        x = statistic(*areas)
-        x_mean = x.mean(axis=0)
-        delta, share = x_mean - mean, n / (count + n)
-        m2 = m2 + (np.abs(x - x_mean) ** 2).sum(axis=0) + np.abs(delta) ** 2 * count * share
-        mean = mean + delta * share
-        count += n
-    return mean, np.sqrt(m2 / ((count - 1) * count))
+# Each row of u(delta) = (1, sin(delta/2), 2 sin^2(delta/4)), by code.
+_U_ROWS = (np.ones_like, lambda d: np.sin(0.5 * d), lambda d: 2 * np.sin(0.25 * d) ** 2)
 
 
 def _kernel_statistic(kernel):
@@ -317,20 +293,26 @@ def _kernel_statistic(kernel):
     ||w(A_n - A0) @ K||^2 for kernel = (A0, codes, K) and one area array per
     pulse, of at most _MC_CHUNK samples.
 
-    Samples run along the last axis, where row gathers and sums over rows are
-    fast, and the work arrays are reused from chunk to chunk: fresh ones of
-    the two-bit size cost a page fault per 4 KB, most of the time otherwise.
+    Each pulse builds only the rows of u that its codes use (the one-bit
+    kernel's codes are all 1).  Samples run along the last axis, where row
+    gathers and sums over rows are fast, and the work arrays are reused from
+    chunk to chunk: fresh ones of the two-bit size cost a page fault per
+    4 KB, most of the time otherwise.
     """
     nominal, codes, k = kernel
+    # per pulse, the rows its codes use and each code's index among them
+    # (not np.unique, whose first call raises peak RSS by about 0.7 MB)
+    used = [sorted(set(c.tolist())) for c in codes.T]
+    rows = [(u, np.searchsorted(u, c)) for u, c in zip(used, codes.T)]
     w_all, g_all, y_all = (np.empty((m, _MC_CHUNK)) for m in (len(codes), len(codes), k.shape[1]))
 
     def statistic(*areas):
         n = len(areas[0])
         w, g, y = w_all[:, :n], g_all[:, :n], y_all[:, :n]
         w.fill(1.0)
-        for a, a0, c in zip(areas, nominal, codes.T):
+        for a, a0, (used, c) in zip(areas, nominal, rows):
             d = a - a0
-            u = np.stack([np.ones_like(d), np.sin(0.5 * d), 2 * np.sin(0.25 * d) ** 2])
+            u = np.stack([_U_ROWS[r](d) for r in used])
             # mode="clip" (the codes are in range) lets take write into g unbuffered
             w *= np.take(u, c, axis=0, out=g, mode="clip")
         np.matmul(k.T, w, out=y)
@@ -375,13 +357,7 @@ def _two_bit_kernel():
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
     """Area distributions of the three pulses (nominal pi, 2pi, pi)."""
     wp = ctx.omega_prime
-    t1 = PI / wp
-    t2 = 2 * PI / wp
-    return (
-        AreaDistribution(t1, ctx.tau, wp),
-        AreaDistribution(t2, ctx.tau, wp),
-        AreaDistribution(t1, ctx.tau, wp),
-    )
+    return tuple(AreaDistribution(step.nominal_area / wp, ctx.tau, wp) for step in UNIVERSAL_SEQUENCE)
 
 
 def _two_bit_defects(omega_prime: float, tau) -> dict:

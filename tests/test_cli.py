@@ -178,6 +178,25 @@ def test_fidelity_at_a_subnormal_tau_is_the_delta_limit(capsys, gate):
     assert (doc["fidelity"], doc["one_minus_fidelity"]) == (want["fidelity"], want["one_minus_fidelity"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gate", [["one-bit", "--rotation", "pi"], ["two-bit"]])
+def test_fidelity_mc_at_a_subnormal_tau_is_the_delta_limit(capsys, gate):
+    code, out = run(capsys, "fidelity", "--gate", *gate, "--method", "mc",
+                    "--samples", "1000", "--tau", "5e-324")
+    assert code == 0
+    doc = strict_json(out)
+    assert (doc["one_minus_fidelity"], doc["stderr"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("gate", [["one-bit", "--rotation", "pi"], ["two-bit"]])
+def test_fidelity_mc_at_an_overflowing_tau_is_usage_error(capsys, gate):
+    # the area distribution's scale omega*tau overflows
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--gate", *gate, "--method", "mc", "--samples", "1000", "--tau", "1e305"])
+    assert exc.value.code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_fidelity_refuses_to_print_a_nan(capsys, monkeypatch):
     import decogate.cli as cli
     from decogate.fidelity import GateFidelityResult, Method
@@ -268,12 +287,21 @@ def test_config_file_precedence(tmp_path, capsys):
     assert doc["params"]["tau"] == 1e-8  # flag wins over config
 
 
-def test_config_malformed_is_usage_error(tmp_path):
+def test_config_malformed_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega 2e5\n")
     with pytest.raises(SystemExit) as exc:
         main(["shor", "--bits", "4", "--config", str(cfg)])
     assert exc.value.code == 2
+    # a value that does not parse, or a misspelt key, names the key and the file
+    for line, key in [("seed = abc", "seed"), ("samples = 1e6", "samples"), ("tua = 1e-6", "tua")]:
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["shor", "--bits", "4", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert key in err and str(cfg) in err
 
 
 def _write_hamiltonian(path, omega=1e5):

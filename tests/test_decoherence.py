@@ -9,7 +9,6 @@ from scipy import integrate, special
 from decogate.decoherence import (
     AreaDistribution,
     DegenerateDistributionError,
-    TimeDistribution,
     averaged_phase_factor,
     decay_rates,
     evolve_energy_basis,
@@ -18,6 +17,7 @@ from decogate.decoherence import (
     kernel_integrals,
     mc_average,
     quad_average,
+    sample_area,
 )
 from decogate.statemath import DensityMatrix
 
@@ -63,7 +63,7 @@ def quad_cdf_grid(d: AreaDistribution, n_points: int = 4001) -> tuple[np.ndarray
 @pytest.mark.parametrize("shape", [0.5, 1.0, 10.0, 3141.59])
 def test_pdf_normalization_and_moments(shape):
     tau = 1e-3
-    dist = TimeDistribution(t=shape * tau, tau=tau)
+    dist = AreaDistribution(t=shape * tau, tau=tau, omega_mean=1.0)
     lo, hi = pdf_window(dist)
     norm, mean, second = (
         integrate.quad(lambda x: x**p * float(dist.pdf(x)), lo, hi,
@@ -79,7 +79,7 @@ def test_pdf_normalization_and_moments(shape):
 def test_gauss_rule_normalisation_and_moments(shape):
     # both branches of the rule: Gauss-Jacobi below shape 4, Laguerre above;
     # the central moment, since E[A^2] - mean^2 cancels at large shape
-    dist = TimeDistribution(t=shape * 1e-3, tau=1e-3)
+    dist = AreaDistribution(t=shape * 1e-3, tau=1e-3, omega_mean=1.0)
     (norm, mean, var), _ = gauss_average(
         lambda a: np.stack([np.ones_like(a), a, (a - dist.mean) ** 2], axis=-1), dist)
     assert norm == pytest.approx(1.0, rel=1e-11)
@@ -94,7 +94,7 @@ def test_quad_average_calls_f_with_python_floats():
         seen.add(type(a))
         return math.cos(a)
 
-    for dist in (AreaDistribution(1.0, 0.1, 1.0), TimeDistribution(1.0, 1.0)):
+    for dist in (AreaDistribution(1.0, 0.1, 1.0), AreaDistribution(1.0, 1.0, 1.0)):
         quad_average(f, dist)
     assert seen == {float}
 
@@ -108,19 +108,19 @@ def test_quad_average_raises_when_the_rule_does_not_converge():
 def test_mode_at_t_minus_tau():
     # for shape > 1 the gamma mode sits at (k-1)*scale = t - tau
     t, tau = 1.0, 0.05
-    dist = TimeDistribution(t=t, tau=tau)
+    dist = AreaDistribution(t=t, tau=tau, omega_mean=1.0)
     grid = np.linspace(0.5, 1.5, 20001)
     pdf = dist.pdf(grid)
     assert grid[np.argmax(pdf)] == pytest.approx(t - tau, abs=2e-4)
 
 
 def test_degenerate_distribution_raises():
-    dist = TimeDistribution(t=1.0, tau=0.0)
+    dist = AreaDistribution(t=1.0, tau=0.0, omega_mean=1.0)
     with pytest.raises(DegenerateDistributionError):
         dist.pdf(1.0)
     area = AreaDistribution(t=1.0, tau=0.0, omega_mean=1.0)
     with pytest.raises(DegenerateDistributionError):
-        area.sample(np.random.default_rng(0), 10)
+        sample_area(area, np.random.default_rng(0), 10)
     for d in (dist, area):
         with pytest.raises(DegenerateDistributionError):
             quad_average(math.cos, d)
@@ -129,8 +129,8 @@ def test_degenerate_distribution_raises():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda bad: TimeDistribution(t=bad, tau=1e-8),
-        lambda bad: TimeDistribution(t=1e-5, tau=bad),
+        lambda bad: AreaDistribution(t=bad, tau=1e-8, omega_mean=1.0),
+        lambda bad: AreaDistribution(t=1e-5, tau=bad, omega_mean=1.0),
         lambda bad: AreaDistribution(t=bad, tau=1e-8, omega_mean=1e5),
         lambda bad: AreaDistribution(t=1e-5, tau=bad, omega_mean=1e5),
         lambda bad: AreaDistribution(t=1e-5, tau=1e-8, omega_mean=bad),
@@ -140,6 +140,38 @@ def test_degenerate_distribution_raises():
 def test_distributions_reject_out_of_domain(make, bad):
     with pytest.raises(ValueError):
         make(bad)
+
+
+@pytest.mark.parametrize("t, tau, omega_mean", [
+    (1e-5, 1e305, 1e5),    # scale
+    (1e305, 1e-8, 1e5),    # mean
+    (1e300, 1e10, 1e5),    # variance
+    (5e-324, 1e10, 1.0),   # shape t/tau underflows to 0
+])
+def test_distribution_rejects_overflowing_moments(t, tau, omega_mean):
+    with pytest.raises(ValueError, match="flows"):
+        AreaDistribution(t=t, tau=tau, omega_mean=omega_mean)
+
+
+def test_gauss_rule_refuses_a_node_that_overflows():
+    # shape 1e-306 and scale 1e307: finite moments, but the rule's [0, 50]
+    # span reaches 5e308
+    with pytest.raises(ValueError, match="node overflows"):
+        gauss_average(np.cos, AreaDistribution(t=1e-10, tau=1e296, omega_mean=1e11))
+
+
+@pytest.mark.parametrize("tau", [0.0, 5e-324])
+def test_degenerate_distribution_is_the_delta_at_the_mean(tau):
+    # tau = 0, or t/tau overflows: the one decision every oracle reads
+    dist = AreaDistribution(t=1.0, tau=tau, omega_mean=2.0)
+    assert dist.degenerate
+    # every sample is cos(2); averaging 1000 of them leaves only rounding
+    mean, stderr = mc_average(np.cos, dist, 1000, np.random.default_rng(0))
+    assert mean == pytest.approx(math.cos(2.0), rel=1e-15) and stderr < 1e-15
+    assert gauss_average(np.cos, dist) == (math.cos(2.0), 0.0)
+    with pytest.raises(DegenerateDistributionError):
+        sample_area(dist, np.random.default_rng(0))
+    assert not AreaDistribution(t=1e-300, tau=5e-324, omega_mean=2.0).degenerate
 
 
 def test_fractional_error_scaling():
@@ -158,7 +190,7 @@ def test_sampler_ks_against_quadrature_cdf(shape):
     dist = AreaDistribution(t=shape * tau, tau=tau, omega_mean=1.0)
     rng = np.random.default_rng(42)
     n = 1_000_000
-    samples = np.sort(dist.sample(rng, n))
+    samples = np.sort(sample_area(dist, rng, n))
     grid, cdf = quad_cdf_grid(dist)
     model = np.interp(samples, grid, cdf, left=0.0, right=1.0)
     empirical = np.arange(1, n + 1) / n
@@ -170,7 +202,7 @@ def test_sampler_gaussian_limit_skewness():
     # t/tau >= 1e4: sample skewness should be tiny (theory 2/sqrt(k) = 0.02)
     dist = AreaDistribution(t=1.0, tau=1e-4, omega_mean=1.0)
     rng = np.random.default_rng(1)
-    x = dist.sample(rng, 1_000_000)
+    x = sample_area(dist, rng, 1_000_000)
     z = (x - x.mean()) / x.std()
     assert abs(np.mean(z**3)) < 0.05
 
@@ -315,7 +347,7 @@ def test_phase_factor_example():
 def test_phase_factor_quadrature_oracle():
     omega, t, tau = 2e4, 1e-4, 1e-7
     closed = averaged_phase_factor(omega, t, tau)
-    dist = TimeDistribution(t=t, tau=tau)
+    dist = AreaDistribution(t=t, tau=tau, omega_mean=1.0)
     re = quad_average(lambda x: np.cos(omega * x), dist)
     im = -quad_average(lambda x: np.sin(omega * x), dist)
     assert abs(closed - complex(re, im)) < 1e-9

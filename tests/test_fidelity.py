@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import decogate.decoherence as decoherence_mod
 import decogate.fidelity as fidelity_mod
-from decogate.decoherence import AreaDistribution, kernel_integrals, quad_average, sample_area
-from decogate.fidelity import (
+from decogate.decoherence import (
     MIN_MC_SAMPLES,
+    AreaDistribution,
+    kernel_integrals,
+    mc_average,
+    quad_average,
+    sample_area,
+)
+from decogate.fidelity import (
     ONE_BIT_W_DIAG,
     ONE_BIT_W_OFF,
     TWO_BIT_W_DIAG,
@@ -283,6 +290,10 @@ MC_ESTIMATORS = {
     ),
     "two_bit": (lambda n, rng: fidelity_mc_two_bit(CTX, n, rng), pulse_distributions(CTX)),
     "tensor": (lambda n, rng: mc_two_bit_tensor(CTX, n, rng), pulse_distributions(CTX)),
+    "mc_average": (
+        lambda n, rng: mc_average(np.cos, AreaDistribution(T_PI, CTX.tau, CTX.omega), n, rng),
+        (AreaDistribution(T_PI, CTX.tau, CTX.omega),),
+    ),
 }
 
 
@@ -296,7 +307,7 @@ def test_mc_draws_exactly_the_requested_samples(monkeypatch, name, n_samples):
         calls.append((dist, n))
         return sample_area(dist, rng, n)
 
-    monkeypatch.setattr(fidelity_mod, "sample_area", spy)
+    monkeypatch.setattr(decoherence_mod, "sample_area", spy)
     estimate(n_samples, np.random.default_rng(4))
     # pulses are drawn in sequence order within each chunk
     assert [d for d, _ in calls] == list(pulses) * (len(calls) // len(pulses))
@@ -323,8 +334,8 @@ def test_mc_delta_limit_is_exact():
 def test_mc_moments_merge_without_cancellation():
     # F_n = 1 - 1e-9 A_n: a raw sum of F^2 would lose the whole variance
     dist = AreaDistribution(T_PI, CTX.tau, CTX.omega)
-    n = 3 * fidelity_mod._MC_CHUNK + 17
-    mean, stderr = fidelity_mod._mc_moments(
+    n = 3 * decoherence_mod._MC_CHUNK + 17
+    mean, stderr = decoherence_mod._mc_moments(
         (dist,), lambda a: 1.0 - 1e-9 * a, n, np.random.default_rng(5))
     direct = 1.0 - 1e-9 * sample_area(dist, np.random.default_rng(5), n)
     assert mean == pytest.approx(direct.mean(), abs=1e-15)
@@ -399,6 +410,32 @@ def test_one_bit_kernel_matches_the_dense_per_sample_contraction(phi):
     assert len(kernel[1]) == 1
 
 
+def _all_rows_statistic(kernel, *areas):
+    """The kernel statistic with every row of u built for every pulse."""
+    nominal, codes, k = kernel
+    w = 1.0
+    for a, a0, c in zip(areas, nominal, codes.T):
+        d = a - a0
+        w = w * np.stack([np.ones_like(d), np.sin(0.5 * d), 2 * np.sin(0.25 * d) ** 2])[c]
+    return ((k.T @ w) ** 2).sum(axis=0)
+
+
+@pytest.mark.parametrize("gate", ["one_bit", "one_bit_phi", "two_bit"])
+def test_kernel_statistic_builds_only_the_rows_it_uses(gate):
+    rng = np.random.default_rng(12)
+    if gate == "two_bit":
+        kernel = fidelity_mod._two_bit_kernel()
+    else:
+        phi = 0.7 if gate == "one_bit_phi" else 0.0
+        kernel = fidelity_mod._infidelity_kernel(
+            ((carrier_parts(phi), 1.3),), one_bit_unitary(1.3, phi), (0, 1),
+            ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+    areas = [a0 + _random_deviations(rng, 300, -6, 0.5) for a0 in kernel[0]]
+    # the same products in the same order: bitwise equal
+    assert np.array_equal(fidelity_mod._kernel_statistic(kernel)(*areas),
+                          _all_rows_statistic(kernel, *areas))
+
+
 def test_kernel_refuses_pulses_that_miss_the_ideal_gate():
     with pytest.raises(ValueError, match="ideal gate"):
         fidelity_mod._infidelity_kernel(((carrier_parts(0.0), 1.3),), one_bit_unitary(1.4),
@@ -435,3 +472,27 @@ def test_infidelity_monotone_in_tau():
            for t in taus]
     assert one == sorted(one)
     assert two == sorted(two)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [5e-324, 1e-310])
+def test_oracles_at_a_subnormal_tau(tau):
+    # 5e-324: t/tau overflows, so every oracle takes the delta limit; 1e-310:
+    # the two-bit Gauss rule runs at shape 1.4e307
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=tau)
+    for res in (fidelity_one_bit(T_PI, ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
+                fidelity_two_bit(ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
+                fidelity_one_bit(T_PI, ctx, Method.QUADRATURE)):
+        assert res.one_minus_f == pytest.approx(0.0, abs=1e-30) and res.stderr == 0.0
+    # the two-bit quadrature forms 1 - F by subtraction: a few ulp of 1, as at tau = 0
+    quad = fidelity_two_bit(ctx, Method.QUADRATURE).one_minus_f
+    assert abs(quad - fidelity_two_bit(ctx).one_minus_f) < 1e-15
+
+
+@pytest.mark.parametrize("gate", [
+    lambda ctx: fidelity_one_bit(T_PI, ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
+    lambda ctx: fidelity_two_bit(ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
+], ids=["one_bit", "two_bit"])
+def test_mc_at_an_overflowing_scale_is_a_value_error(gate):
+    with pytest.raises(ValueError, match="overflows"):
+        gate(GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e305))

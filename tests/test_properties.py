@@ -1,4 +1,6 @@
-"""Every public entry point returns finite output or raises ValueError.
+"""Every public entry point returns finite output or raises ValueError (the
+quadrature oracle may also raise RuntimeError when its Gauss rule does not
+converge).
 
 Hypothesis draws tau >= 0 (subnormals included) and any finite omega and t;
 under the suite's RuntimeWarning filter, an overflow or NaN that numpy only
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 from decogate.bounds import ShorScenario, assess
 from decogate.decoherence import (
+    MIN_MC_SAMPLES,
     averaged_phase_factor,
     decay_rates,
     evolve_energy_basis,
     gamma_char,
     kernel_integrals,
 )
-from decogate.fidelity import closed_two_bit_tensor, fidelity_one_bit, fidelity_two_bit
+from decogate.fidelity import Method, closed_two_bit_tensor, fidelity_one_bit, fidelity_two_bit
 from decogate.gates import GateContext
 from decogate.statemath import DensityMatrix
 
@@ -46,7 +49,7 @@ def context(omega, tau):
 
 def gate_values(gate, ctx):
     res = gate(ctx)
-    return [res.fidelity, res.one_minus_f]
+    return [res.fidelity, res.one_minus_f, res.stderr]
 
 
 @PROPERTY
@@ -54,6 +57,29 @@ def gate_values(gate, ctx):
 def test_analytic_gate_fidelities(omega, t, tau):
     for gate in (lambda ctx: fidelity_one_bit(t, ctx), fidelity_two_bit):
         finite_or_value_error(lambda: gate_values(gate, context(omega, tau)))
+
+
+# the oracles cost milliseconds per call, so fewer examples
+ORACLE = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@ORACLE
+@given(omega=FINITE, t=FINITE, tau=TAU)
+def test_monte_carlo_gate_fidelities(omega, t, tau):
+    for gate in (lambda ctx: fidelity_one_bit(t, ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
+                 lambda ctx: fidelity_two_bit(ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES)):
+        finite_or_value_error(lambda: gate_values(gate, context(omega, tau)))
+
+
+@ORACLE
+@given(omega=FINITE, t=FINITE, tau=TAU)
+def test_quadrature_gate_fidelities(omega, t, tau):
+    for gate in (lambda ctx: fidelity_one_bit(t, ctx, Method.QUADRATURE),
+                 lambda ctx: fidelity_two_bit(ctx, Method.QUADRATURE)):
+        try:
+            finite_or_value_error(lambda: gate_values(gate, context(omega, tau)))
+        except RuntimeError as exc:
+            assert "did not converge" in str(exc)
 
 
 @PROPERTY
@@ -86,7 +112,7 @@ def test_evolve_energy_basis(omega, t, tau):
 
 
 @PROPERTY
-@given(bits=st.integers(1, 10**6), omega=FINITE, eta=FINITE, tau=TAU)
+@given(bits=st.integers(1, 10**400), omega=FINITE, eta=FINITE, tau=TAU)
 def test_assess_report_is_finite_strict_json(bits, omega, eta, tau):
     try:
         doc = assess(ShorScenario(bits, omega, eta, tau)).to_dict()
@@ -105,7 +131,8 @@ def test_assess_report_is_finite_strict_json(bits, omega, eta, tau):
     lambda: context(5e-324, 1e-8),            # omega' underflows to 0
     lambda: assess(ShorScenario(4, 1e300, 0.1, 1e-8)),   # gamma overflows
     lambda: assess(ShorScenario(4, 1e-320, 1e-5, 1e-8)),  # op_time overflows
-], ids=["omega_t", "omega_tau", "omega_tau_array", "omega_prime", "gamma", "op_time"])
+    lambda: assess(ShorScenario(10**113, 1e5, 0.1, 1e-8)),  # n_ops is too large for a float
+], ids=["omega_t", "omega_tau", "omega_tau_array", "omega_prime", "gamma", "op_time", "total_time"])
 def test_overflow_is_a_value_error(call):
     with pytest.raises(ValueError):
         call()
