@@ -103,9 +103,12 @@ def assess(
 
 def required_tau(omega: float, target_error: float) -> float:
     """Scaling time needed for a one-bit pi rotation to reach the target error,
-    inverting the first-order law (3/16) pi Omega tau = target."""
+    inverting the first-order law (3/16) pi Omega tau = target.  The exact
+    1 - F rises monotonically in tau to a supremum of 3/4 that it never
+    reaches, so a target of 3/4 or more is refused."""
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    if not 0 < target_error < 1:
-        raise ValueError("target error must be in (0, 1)")
+    if not 0 < target_error < 0.75:
+        raise ValueError(f"target error must be in (0, 0.75): the one-bit 1-F never reaches "
+                         f"its supremum 3/4, got {target_error}")
     return target_error / (ONE_BIT_ERROR_COEFF * omega)

@@ -6,14 +6,15 @@ tau (area: Omega*tau).  Averaging unitary evolution over that distribution
 decays off-diagonal density-matrix elements in the energy basis while leaving
 populations untouched.  This module provides the one distribution,
 `AreaDistribution` (the time itself at omega_mean = 1), its sampling, the
-decay/shift rates, the averaged phase factor, the closed-form pulse-average
+decay/shift rates, the averaged phase factor, the characteristic function of
+the deviation from the mean (`deviation_char`), the closed-form pulse-average
 kernels, and the two oracles that cross-check every closed form: one chunked
 Monte Carlo loop (`_mc_moments`, `mc_average`) and one Gauss rule for the
 Gamma weight (`gauss_average`, `quad_average`).  The distribution decides
-once whether it is the delta at its mean (`degenerate`), and both oracles
-read that decision.  The Gauss rule is built from the Gamma's three-term
-recurrence alone (Golub-Welsch), never from its pdf or its characteristic
-function, so it stays independent of the closed forms."""
+once whether it is the delta at its mean (`degenerate`); both oracles read
+that.  The Gauss rule is built from the Gamma's three-term recurrence alone
+(Golub-Welsch), not its pdf or characteristic function, so it is independent
+of the closed forms; it hands f each node's deviation A - mean, not A."""
 
 from __future__ import annotations
 
@@ -148,6 +149,19 @@ def gamma_char(omega, t: float, tau):
     return z.real, z.imag
 
 
+def deviation_char(omega, t: float, tau):
+    """gamma_char of the deviation t' - t from the mean: (log modulus, angle -
+    omega t); the delta limit is (0, 0).  Below |x| = |omega tau| = 1e-8 the
+    angle is (2/3) x times the log modulus, the ratio of their series' first
+    terms, as subtracting omega t would leave the angle's rounding (about
+    1e-32 in a 1 - F)."""
+    log_modulus, angle = gamma_char(omega, t, tau)
+    x = np.multiply.outer(omega, tau)
+    small = np.abs(x) < 1e-8  # where the series' second terms are under the rounding
+    phase = np.reshape(np.multiply(omega, t), np.shape(omega) + (1,) * np.ndim(tau))
+    return log_modulus, np.where(small, (2.0 / 3.0) * np.where(small, x, 0.0) * log_modulus, angle - phase)
+
+
 def _check_products(omega, span: float) -> None:
     """Raise unless omega t and omega tau are finite, for span = max(t, tau)
     and a finite omega."""
@@ -221,16 +235,10 @@ class KernelValues:
 
 
 def kernel_integrals(t: float, omega_prime: float, tau) -> KernelValues:
-    """Closed forms of the averaged pulse kernels; exact-pulse limits at
-    tau = 0.  An ndarray tau gives arrays of its shape."""
-    return _kernels(*gamma_char(np.array([omega_prime, 0.5 * omega_prime]), t, tau))
-
-
-def _kernels(log_modulus, angle) -> KernelValues:
-    """The kernels from the characteristic function of the area A at the full
-    and the half angle, stacked on the first axis of log_modulus and angle.
-    C2 and S2 are (1 +- E[cos A])/2, each without cancellation."""
-    (l_full, l_half), (a_full, a_half) = log_modulus, angle
+    """Closed forms of the averaged pulse kernels from the area's characteristic
+    function at the full and the half angle, C2 and S2 = (1 +- E[cos A])/2
+    without cancellation; exact at tau = 0, arrays for an ndarray tau."""
+    (l_full, l_half), (a_full, a_half) = gamma_char(np.array([omega_prime, 0.5 * omega_prime]), t, tau)
     r_half = np.exp(l_half)
     return KernelValues(
         c1=r_half * np.cos(a_half),
@@ -310,15 +318,16 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_average(f, d: AreaDistribution):
-    """E[f(A)] by the Gamma Gauss rule at 32, 64, ... nodes, until two
+    """E[f(A - mean)] by the Gamma Gauss rule at 32, 64, ... nodes, until two
     successive estimates agree within QUAD_ABS_TOL * max(1, |value|).
 
-    f maps an (n,) array of areas to an (n, ...) array.  Returns
-    (value, difference of the last two estimates); a degenerate d is the
-    delta at the mean.  Raises RuntimeError if 512 nodes do not converge.
+    f maps an (n,) array of deviations A - mean to an (n, ...) array.
+    Returns (value, difference of the last two estimates); a degenerate d is
+    the delta, f at deviation 0.  Raises RuntimeError if 512 nodes do not
+    converge.
     """
     if d.degenerate:
-        return f(np.array([d.mean]))[0], 0.0
+        return f(np.zeros(1))[0], 0.0
     sd = math.sqrt(d.variance)
 
     def estimate(n: int):
@@ -326,7 +335,7 @@ def gauss_average(f, d: AreaDistribution):
         # as Python floats, an overflow is an inf and no numpy warning
         if not math.isfinite(d.mean + sd * float(y[-1])):
             raise ValueError(f"the Gauss rule's largest node overflows for {d}")
-        return np.tensordot(w, f(d.mean + sd * y), axes=1)
+        return np.tensordot(w, f(sd * y), axes=1)
 
     prev = estimate(_GAUSS_NODES[0])
     for n in _GAUSS_NODES[1:]:
@@ -342,10 +351,7 @@ def gauss_average(f, d: AreaDistribution):
 
 
 def quad_average(f, d: AreaDistribution) -> float:
-    """E[f(A)] by the Gamma Gauss rule, calling f on one float at a time;
-    the independent oracle for every closed-form kernel.  A degenerate d
-    raises DegenerateDistributionError."""
-    if d.degenerate:
-        raise DegenerateDistributionError("degenerate distribution; use delta limit")
-    value, _ = gauss_average(lambda a: np.array([float(f(x)) for x in a.tolist()]), d)
+    """E[f(A)] by the Gamma Gauss rule, calling f on one float area at a time
+    (at the mean for a degenerate d): the oracle for every closed-form kernel."""
+    value, _ = gauss_average(lambda dev: np.array([float(f(x)) for x in (d.mean + dev).tolist()]), d)
     return float(value)

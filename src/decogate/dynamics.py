@@ -51,23 +51,30 @@ class EvolutionComparison:
     max_offdiag_error: list[float] = field(default_factory=list)
 
 
-def _check_domain(times, tau: float) -> None:
+def _check_domain(times, tau: float, energies) -> None:
+    """Raise unless tau and the times are in domain and, for the largest gap
+    w (energies ascending), w, w t and tau t w^2 / 2 are finite."""
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if not all(math.isfinite(t) and t > 0 for t in times):
         raise ValueError("times must be finite and positive")
+    # as Python floats, an overflow is an inf and no numpy warning
+    span = float(energies[-1]) - float(energies[0])
+    if not all(math.isfinite(span * t) and math.isfinite(0.5 * tau * t * span * span) for t in times):
+        raise ValueError(f"the energy gap {span} overflows the phase or the decay exponent")
 
 
 def _me2_energy_basis(rho_eig: DensityMatrix, energies, t: float, tau: float) -> DensityMatrix:
     """Second-order truncation of evolve_energy_basis: the exact solution of the
     double-commutator master equation, e^{-i w t - tau w^2 t/2} per gap w."""
     gaps = energies[:, None] - energies[None, :]
-    return DensityMatrix(rho_eig.matrix * np.exp(-1j * gaps * t - 0.5 * tau * gaps**2 * t))
+    # tau t first: at tau = 0 the decay is 0 even where gaps**2 would overflow
+    return DensityMatrix(rho_eig.matrix * np.exp(-1j * gaps * t - 0.5 * tau * t * gaps * gaps))
 
 
 def _in_eigenbasis(evolve, h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:
     """Rotate to the eigenbasis, apply the per-gap factors of `evolve`, rotate back."""
-    _check_domain([t], tau)
+    _check_domain([t], tau, h.eigenvalues)
     v = h.eigenvectors
     rho_eig = DensityMatrix(v.conj().T @ rho0.matrix @ v)
     evolved = evolve(rho_eig, h.eigenvalues, t, tau)
@@ -103,7 +110,7 @@ def compare_evolutions(
     """Per-time trace distance and max off-diagonal deviation between the
     exact averaged map and the second-order truncation."""
     t_grid = list(t_grid)
-    _check_domain(t_grid, tau)
+    _check_domain(t_grid, tau, h.eigenvalues)
     if any(t_grid[k] >= t_grid[k + 1] for k in range(len(t_grid) - 1)):
         raise ValueError("t_grid must be ascending")
     v = h.eigenvectors

@@ -5,12 +5,11 @@ U(A)|i><i'|U(A)^dag; the fidelity tensor F[i',i,j',j] compares it to the
 ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
 two bits).  Every analytic path here has an independent Monte Carlo and
-quadrature oracle, and both rest on one logical-block table.  With each pulse
-U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the gate W(A) = U_p(A_p) ...
-U_1(A_1) expands over one part per pulse, and its amplitudes <d|U^dag W(A)|i>
-on the logical states |i> are sum_k w_k(A) T[k, i, d], where w_k(A) =
-prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2), sin(A/2)).  Quadrature
-averages each w_k w_l with the Gamma Gauss rule of `decoherence.gauss_average`.
+quadrature oracle, and all three rest on one logical-block table.  With each
+pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the gate W(A) = U_p(A_p)
+... U_1(A_1) expands over one part per pulse, and its amplitudes
+<d|U^dag W(A)|i> on the logical states |i> are sum_k w_k(A) T[k, i, d],
+where w_k(A) = prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2), sin(A/2)).
 
 Monte Carlo averages a per-sample infidelity 1 - F_n, not F_n, so a 1 - F
 far below the rounding of F = 1 is still resolved.  Rebasing each pulse's
@@ -18,7 +17,16 @@ parts to its nominal area A0 gives the table in the area deviations delta =
 A - A0, with v replaced by u(delta) = (1, sin(delta/2), 2 sin^2(delta/4)); its
 all-zero code term is the ideal gate, and by unitarity 1 - F_n is a sum of
 squares of the remaining terms, ||w(delta) @ K||^2 for one real kernel K per
-gate (`_infidelity_kernel`).  The closed forms do not use the table.
+gate (`_infidelity_kernel`).
+
+The closed forms and the quadrature oracle average the same tables: with
+independent areas, E[w_k w_l] = prod_p M_p[codes[k, p], codes[l, p]] for one
+moment matrix M_p = E[u u^T] per pulse, so the two-bit tensor and 1 - F are
+averages of T[k] conj(T[l]) and (K K^T)[k, l] (`_contract_moments`).  The
+two differ only in M_p: closed forms on `deviation_char`, the characteristic
+function of the deviation from the mean area, or the Gauss rule, also on that
+deviation.  (The mean area Omega' t is the nominal one up to the rounding of
+t = pi / Omega'.)
 
 Both oracles are the ones of `decoherence`: every Monte Carlo estimate runs
 its one chunked loop (`_mc_moments`) over exactly the requested number of
@@ -39,9 +47,8 @@ import numpy as np
 from .decoherence import (
     _MC_CHUNK,
     AreaDistribution,
-    _kernels,
     _mc_moments,
-    gamma_char,
+    deviation_char,
     gauss_average,
     kernel_integrals,
     one_minus_re,
@@ -193,6 +200,32 @@ def _infidelity_kernel(pulses, ideal: np.ndarray, logical, w_diag: float, w_off:
     return tuple(a0 for _, a0 in pulses), codes[rows], k[rows][:, k.any(axis=0)]
 
 
+def _moment_pairs(codes, weights):
+    """(pairs, W) with sum_kl G[k,l] weights[k,l] = sum_t W[t] prod_p
+    M_p.flat[pairs[p, t]], G[k,l] = prod_p M_p[codes[k,p], codes[l,p]], for
+    symmetric M_p: over k <= l, W = weights[k,l] + weights[l,k] (once at k = l)."""
+    n = len(codes)
+    merged = weights + np.swapaxes(weights, 0, 1)
+    merged[np.diag_indices(n)] = weights[np.diag_indices(n)]
+    k, l = np.nonzero(np.triu(np.abs(merged).reshape(n, n, -1).max(axis=-1) > _ROUNDING))
+    return (3 * codes[k] + codes[l]).T, merged[k, l]
+
+
+def _contract_moments(pairs, moments):
+    """sum_kl G[k,l] weights[k,l] for pairs = _moment_pairs(codes, weights) and
+    one symmetric (3, 3, ...) M_p per pulse, summed by halving: elementwise, so
+    an array of M_p gives bitwise the sums of its entries (BLAS would not)."""
+    pairs, w = pairs
+    g = functools.reduce(np.multiply, (np.take(m.reshape((9,) + m.shape[2:]), p, axis=0)
+                                       for m, p in zip(moments, pairs)))
+    terms = w.reshape(w.shape + (1,) * (g.ndim - 1)) * g.reshape(g.shape[:1] + (1,) * (w.ndim - 1) + g.shape[1:])
+    n = len(terms)
+    while n > 1:
+        terms[:n // 2] += terms[(n + 1) // 2:n]
+        n = (n + 1) // 2
+    return terms[0]
+
+
 # --------------------------------------------------------------------------
 # One-bit gate
 # --------------------------------------------------------------------------
@@ -217,11 +250,10 @@ def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray
 
 
 def _one_minus_f0000(omega: float, t: float, tau):
-    """1 - E[cos^2((A - Omega t)/2)] = (1 - e^l cos(angle - Omega t))/2 with
-    (l, angle) the characteristic function of the carrier area A; an ndarray
-    tau gives an array."""
-    log_modulus, angle = gamma_char(omega, t, tau)
-    return 0.5 * one_minus_re(log_modulus, angle - omega * t)
+    """1 - E[cos^2((A - Omega t)/2)] = (1 - e^l cos(a))/2 with (l, a) the
+    characteristic function of the carrier area's deviation A - Omega t; an
+    ndarray tau gives an array."""
+    return 0.5 * one_minus_re(*deviation_char(omega, t, tau))
 
 
 def _one_bit_infidelity(omega: float, t: float, tau):
@@ -266,10 +298,9 @@ def fidelity_one_bit(
                                     ideal_one_bit_gate(t, ctx), (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
         one_minus_f, stderr = map(float, _mc_moments((dist,), _kernel_statistic(kernel), n_samples, rng))
     else:
-        # the same reduction by quadrature: 1 - F = (3/4) E[sin^2((A - Omega t)/2)]
+        # the same reduction by quadrature on the deviation: 1 - F = (3/4) E[sin^2(delta/2)]
         one_minus_f = 0.75 * float(gauss_average(
-            lambda a: np.sin(0.5 * (a - ctx.omega * t)) ** 2,
-            AreaDistribution(t, ctx.tau, ctx.omega))[0])
+            lambda dev: np.sin(0.5 * dev) ** 2, AreaDistribution(t, ctx.tau, ctx.omega))[0])
     return GateFidelityResult(
         fidelity=1.0 - one_minus_f,
         one_minus_f=one_minus_f,
@@ -329,29 +360,32 @@ def _kernel_statistic(kernel):
 TWO_BIT_W_DIAG = 1.0 / 8.0
 TWO_BIT_W_OFF = 1.0 / 24.0
 
-# Closed-form families of the two-bit tensor, each of ideal value 1: the
-# contraction weight of each entry and the entries F[i', i, j', j] it fixes.
-_TWO_BIT_FAMILIES = {
-    "2222": (TWO_BIT_W_DIAG, ((2, 2, 2, 2),)),
-    "3333": (TWO_BIT_W_DIAG, ((3, 3, 3, 3),)),
-    "20": (TWO_BIT_W_OFF, tuple((ip, j, j, ip) for ip, j in ((2, 0), (2, 1), (0, 2), (1, 2)))),
-    "30": (TWO_BIT_W_OFF, tuple((ip, j, j, ip) for ip, j in ((3, 0), (3, 1), (0, 3), (1, 3)))),
-    "32": (TWO_BIT_W_OFF, ((3, 2, 2, 3), (2, 3, 3, 2))),
-}
-
-
+_TWO_BIT_PULSES = [(pulse_parts(step), step.nominal_area) for step in UNIVERSAL_SEQUENCE]
 # The two-bit gate's table: 4 of its 27 terms have a nonzero logical block.
-_TWO_BIT_TABLE = _logical_table(
-    [pulse_parts(step) for step in UNIVERSAL_SEQUENCE], ideal_two_bit_gate(), LOGICAL_INDICES)
+_TWO_BIT_TABLE = _logical_table([p for p, _ in _TWO_BIT_PULSES], ideal_two_bit_gate(), LOGICAL_INDICES)
+# F[i', i, j', j] = sum_kl G[k,l] T[k, i, j'] conj(T[l, i', j]), G from E[v v^T].
+_TWO_BIT_TENSOR = _moment_pairs(
+    _TWO_BIT_TABLE[0], np.einsum("kab,lcd->klcabd", _TWO_BIT_TABLE[1], _TWO_BIT_TABLE[1].conj()))
+# v(A0 + delta) = R u(delta) at each nominal area A0, so E[v v^T] = R E[u u^T] R^T.
+_REBASE = [np.array([[1, 0, 0], [c, -s, -c], [s, c, -s]])
+           for c, s in ((math.cos(0.5 * a0), math.sin(0.5 * a0)) for _, a0 in _TWO_BIT_PULSES)]
+# The closed tensor's known entries: those contract_fidelity reads, F[i,i,j,j] and F[j,i,i,j].
+_TWO_BIT_KNOWN = np.einsum("ab,cd->abcd", *[np.eye(4)] * 2) + np.einsum("ad,bc->abcd", *[np.eye(4)] * 2) > 0
 
 
 @functools.cache
 def _two_bit_kernel():
     """The two-bit gate's Monte Carlo kernel, 16 of its 26 deviation terms
     on 8 real columns; built on first use, so importing costs nothing."""
-    return _infidelity_kernel(
-        [(pulse_parts(step), step.nominal_area) for step in UNIVERSAL_SEQUENCE],
-        ideal_two_bit_gate(), LOGICAL_INDICES, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+    return _infidelity_kernel(_TWO_BIT_PULSES, ideal_two_bit_gate(), LOGICAL_INDICES,
+                              TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+
+
+@functools.cache
+def _two_bit_infidelity_weights():
+    """K K^T as moment pairs: 1 - F = sum_kl G[k,l] (K K^T)[k,l]."""
+    _, codes, k = _two_bit_kernel()
+    return _moment_pairs(codes, k @ k.T)
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
@@ -360,57 +394,50 @@ def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
     return tuple(AreaDistribution(step.nominal_area / wp, ctx.tau, wp) for step in UNIVERSAL_SEQUENCE)
 
 
-def _two_bit_defects(omega_prime: float, tau) -> dict:
-    """Defects 1 - F of the closed-form two-bit tensor families as sums of
-    non-negative terms: exact rearrangements of F2222 = C2^2 + S2^2 C2' -
-    2 Z^2 C1', F3333 = C2^2 + S2^2 - 2 Z^2, F20 = C1^2 - S1^2 C1', F30 = S1^2
-    - C1^2 and F32 = Z^2 (1 + C1') - C2^2 - S2^2 C1' in the pi-pulse kernels
-    and the 2pi-pulse ones (primed).  The 2pi pulse's characteristic function
-    is the pi pulse's squared, which gives d1 = 1 + C1' and d2 = 1 - C2' in
-    terms of e = 1 - |E e^{iA}|^2 at the half and the full angle.  An ndarray
-    tau gives arrays."""
-    log_modulus, angle = gamma_char(
-        np.array([omega_prime, 0.5 * omega_prime]), PI / omega_prime, tau)
-    k = _kernels(log_modulus, angle)
-    e_full, e_half = -np.expm1(2 * log_modulus)
-    d1 = e_half + 2 * k.c1**2
-    d2 = 0.5 * e_full + 4 * k.z**2
-    return {
-        "2222": 0.5 * e_full + k.s2**2 * d2 + 2 * k.z**2 * d1,
-        "3333": d2,
-        "20": e_half + k.s1**2 * d1,
-        "30": d1,
-        "32": 2 * k.c2**2 + 0.5 * e_full + k.z**2 * (2 - d1) + k.s2**2 * d1,
-    }
+def _closed_moments(omega_prime: float, tau) -> list:
+    """Per pulse, E[u(d) u(d)^T] as (3, 3) + tau.shape for the area deviation
+    d, from E sin and E[1 - cos] of d and d/2: the characteristic function of
+    the pi pulse's deviation (`deviation_char`), to the power m for a pulse of
+    m times the area.  E[sin^2(d/2)] = E[1 - cos d]/2, E[sin(d/2) (1 -
+    cos(d/2))] = E sin(d/2) - E[sin d]/2 and E[(1 - cos(d/2))^2] = 2 E[1 -
+    cos(d/2)] - E[1 - cos d]/2."""
+    s, shape = np.array([1.0, 0.5]), (1,) * np.ndim(tau)
+    log_modulus, angle = deviation_char(s * omega_prime, PI / omega_prime, tau)
+    powers = np.reshape([a0 / PI for _, a0 in _TWO_BIT_PULSES], (-1,) + shape)
+    log_modulus, angle = log_modulus[:, None] * powers, angle[:, None] * powers
+    sin_full, sin_half = np.exp(log_modulus) * np.sin(angle)
+    vers_full, vers_half = one_minus_re(log_modulus, angle)
+    ss, sv, vv = 0.5 * vers_full, sin_half - 0.5 * sin_full, 2.0 * vers_half - 0.5 * vers_full
+    m = np.array([np.ones_like(ss), sin_half, vers_half, sin_half, ss, sv, vers_half, sv, vv])
+    return [m.reshape((3, 3) + ss.shape)[:, :, p] for p in range(len(ss))]
+
+
+def _gauss_moments(ctx: GateContext) -> list:
+    """Per pulse, E[u(delta) u(delta)^T] by the Gauss rule on the deviation
+    from the mean, once per distinct distribution."""
+    def products(dev):
+        u = np.stack([row(dev) for row in _U_ROWS], axis=-1)
+        return u[:, :, None] * u[:, None, :]
+    dists = pulse_distributions(ctx)
+    moments = {d: gauss_average(products, d)[0] for d in set(dists)}
+    return [moments[d] for d in dists]
 
 
 def _two_bit_infidelity(omega_prime: float, tau):
-    """Analytic 1 - F: the contraction of the closed-form families."""
-    defects = _two_bit_defects(omega_prime, tau)
-    return sum(w * len(e) * defects[n] for n, (w, e) in _TWO_BIT_FAMILIES.items())
+    """Analytic 1 - F; an ndarray tau gives an array."""
+    return _contract_moments(_two_bit_infidelity_weights(), _closed_moments(omega_prime, tau))
+
+
+def _two_bit_tensor(moments) -> np.ndarray:
+    """F[i', i, j', j] from one deviation moment matrix E[u u^T] per pulse."""
+    return _contract_moments(_TWO_BIT_TENSOR, [r @ m @ r.T for r, m in zip(_REBASE, moments)])
 
 
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
-    """Closed-form elements of the two-bit fidelity tensor.
-
-    All elements entering the fidelity contraction are fixed: the diagonal
-    family, the exchange families (ideal value 1 minus their defect), and the
-    vanishing cross-population elements.  Remaining elements are left
-    unknown (NaN).
-    """
-    values = np.full((4, 4, 4, 4), np.nan, dtype=complex)
-    known = np.zeros((4, 4, 4, 4), dtype=bool)
-
-    def put(entries, val):
-        for e in entries:
-            values[e] = val
-            known[e] = True
-
-    put([(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)], 1.0)
-    for name, defect in _two_bit_defects(ctx.omega_prime, ctx.tau).items():
-        put(_TWO_BIT_FAMILIES[name][1], 1.0 - defect)
-    put([(i, i, j, j) for i in range(4) for j in range(4) if i != j], 0.0)
-    return FidelityTensor(n_states=4, values=values, known=known)
+    """Closed-form two-bit tensor on the entries contract_fidelity reads; NaN elsewhere."""
+    values = _two_bit_tensor(_closed_moments(ctx.omega_prime, ctx.tau))
+    values[~_TWO_BIT_KNOWN] = np.nan
+    return FidelityTensor(n_states=4, values=values, known=_TWO_BIT_KNOWN.copy())
 
 
 def fidelity_two_bit(
@@ -433,8 +460,7 @@ def fidelity_two_bit(
         one_minus_f, stderr = map(float, _mc_moments(
             pulse_distributions(ctx), _kernel_statistic(_two_bit_kernel()), n_samples, rng))
     else:
-        tensor = quad_two_bit_tensor(ctx)
-        one_minus_f = 1.0 - contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+        one_minus_f = float(_contract_moments(_two_bit_infidelity_weights(), _gauss_moments(ctx)))
     return GateFidelityResult(
         fidelity=1.0 - one_minus_f,
         one_minus_f=one_minus_f,
@@ -467,13 +493,5 @@ def fidelity_mc_two_bit(
 
 
 def quad_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
-    """Quadrature oracle for the two-bit tensor: F[i',i,j',j] = sum_kl G[k,l]
-    T[k,i,j'] conj(T[l,i',j]) with G[k,l] = E[w_k w_l] = prod_p M_p[codes[k,p],
-    codes[l,p]] by independence of the pulse areas, and M_p = E[v(A_p) v(A_p)^T]
-    by the Gauss rule, once per distinct distribution."""
-    codes, table = _TWO_BIT_TABLE
-    dists = pulse_distributions(ctx)
-    moments = {d: gauss_average(lambda a: np.einsum("ni,nj->nij", _v(a), _v(a)), d)[0]
-               for d in set(dists)}
-    g = np.prod([moments[d][np.ix_(c, c)] for d, c in zip(dists, codes.T)], axis=0)
-    return FidelityTensor.full(np.einsum("kl,kab,lcd->cabd", g, table, table.conj()))
+    """Quadrature oracle for the two-bit tensor: the Gauss rule's moments."""
+    return FidelityTensor.full(_two_bit_tensor(_gauss_moments(ctx)))

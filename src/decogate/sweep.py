@@ -61,7 +61,11 @@ def run_sweep(spec: SweepSpec, seed: int = 0) -> list[SweepRow]:
     (Monte Carlo points draw from independently spawned per-point streams)."""
     method = Method(spec.method)
     ctx = spec.context
-    taus = np.logspace(math.log10(spec.tau_min), math.log10(spec.tau_max), spec.points)
+    # 10**log10(tau_max) can round past the largest float
+    with np.errstate(over="ignore"):
+        taus = np.logspace(math.log10(spec.tau_min), math.log10(spec.tau_max), spec.points)
+    if not np.isfinite(taus[-1]):
+        raise ValueError(f"tau_max {spec.tau_max} overflows on the log-spaced grid")
     one_bit = spec.gate == "one_bit"
     omega = ctx.omega if one_bit else ctx.omega_prime
     t_ref = math.pi / omega

@@ -137,6 +137,22 @@ def check_two_bit_quadrature(tol: float = 1e-9) -> CheckResult:
     return _check("two_bit_quadrature", worst < tol, f"max |closed-quad| = {worst:.3e}")
 
 
+def check_quadrature_infidelity() -> CheckResult:
+    """Both gates' 1 - F: closed form vs the Gauss-rule oracle, relative, at
+    noise so small that the absolute tensor check sees nothing."""
+    worst = 0.0
+    for op_tau in (1e-12, 1e-8, 1e-4):
+        ctx1 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=op_tau / 1e5)
+        ctx2 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=op_tau / ctx1.omega_prime)
+        t = math.pi / ctx1.omega
+        for exact, quad in (
+            (fidelity_one_bit(t, ctx1), fidelity_one_bit(t, ctx1, Method.QUADRATURE)),
+            (fidelity_two_bit(ctx2), fidelity_two_bit(ctx2, Method.QUADRATURE)),
+        ):
+            worst = max(worst, abs(quad.one_minus_f - exact.one_minus_f) / exact.one_minus_f)
+    return _check("quadrature_infidelity", worst < 1e-10, f"max relative |closed-quad| = {worst:.3e}")
+
+
 def check_semigroup(tol: float = 1e-12) -> CheckResult:
     """Averaged phase factors compose multiplicatively in time."""
     worst = 0.0
@@ -212,6 +228,7 @@ def run_all(n_samples: int = 1_000_000, seed: int = 0) -> list[CheckResult]:
         check_one_bit_mc(n_samples, seed),
         check_two_bit_mc(n_samples, seed),
         check_two_bit_quadrature(),
+        check_quadrature_infidelity(),
         check_semigroup(),
         check_diagonal_conservation(),
         check_distribution_moments(),

@@ -81,7 +81,8 @@ def test_required_tau_round_trip():
 
 
 @pytest.mark.parametrize("omega, target", [(math.nan, 1e-6), (math.inf, 1e-6), (0.0, 1e-6),
-                                           (1e5, math.nan), (1e5, math.inf)])
+                                           (1e5, math.nan), (1e5, math.inf),
+                                           (1e5, 0.75), (1e5, 0.9)])
 def test_required_tau_rejects_out_of_domain(omega, target):
     with pytest.raises(ValueError):
         required_tau(omega, target)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from decogate.decoherence import (
     DegenerateDistributionError,
     averaged_phase_factor,
     decay_rates,
+    deviation_char,
     evolve_energy_basis,
     gamma_char,
     gauss_average,
@@ -80,8 +82,11 @@ def test_gauss_rule_normalisation_and_moments(shape):
     # both branches of the rule: Gauss-Jacobi below shape 4, Laguerre above;
     # the central moment, since E[A^2] - mean^2 cancels at large shape
     dist = AreaDistribution(t=shape * 1e-3, tau=1e-3, omega_mean=1.0)
-    (norm, mean, var), _ = gauss_average(
-        lambda a: np.stack([np.ones_like(a), a, (a - dist.mean) ** 2], axis=-1), dist)
+
+    def moments(a):
+        return np.stack([np.ones_like(a), a, (a - dist.mean) ** 2], axis=-1)
+
+    (norm, mean, var), _ = gauss_average(lambda dev: moments(dist.mean + dev), dist)
     assert norm == pytest.approx(1.0, rel=1e-11)
     assert mean == pytest.approx(dist.mean, rel=1e-11)
     assert var == pytest.approx(dist.variance, rel=1e-11)
@@ -121,9 +126,9 @@ def test_degenerate_distribution_raises():
     area = AreaDistribution(t=1.0, tau=0.0, omega_mean=1.0)
     with pytest.raises(DegenerateDistributionError):
         sample_area(area, np.random.default_rng(0), 10)
+    # quad_average, like every oracle, takes the delta at the mean
     for d in (dist, area):
-        with pytest.raises(DegenerateDistributionError):
-            quad_average(math.cos, d)
+        assert quad_average(math.cos, d) == math.cos(1.0)
 
 
 @pytest.mark.parametrize(
@@ -156,8 +161,9 @@ def test_distribution_rejects_overflowing_moments(t, tau, omega_mean):
 def test_gauss_rule_refuses_a_node_that_overflows():
     # shape 1e-306 and scale 1e307: finite moments, but the rule's [0, 50]
     # span reaches 5e308
+    dist = AreaDistribution(t=1e-10, tau=1e296, omega_mean=1e11)
     with pytest.raises(ValueError, match="node overflows"):
-        gauss_average(np.cos, AreaDistribution(t=1e-10, tau=1e296, omega_mean=1e11))
+        gauss_average(lambda dev: np.cos(dist.mean + dev), dist)
 
 
 @pytest.mark.parametrize("tau", [0.0, 5e-324])
@@ -168,7 +174,7 @@ def test_degenerate_distribution_is_the_delta_at_the_mean(tau):
     # every sample is cos(2); averaging 1000 of them leaves only rounding
     mean, stderr = mc_average(np.cos, dist, 1000, np.random.default_rng(0))
     assert mean == pytest.approx(math.cos(2.0), rel=1e-15) and stderr < 1e-15
-    assert gauss_average(np.cos, dist) == (math.cos(2.0), 0.0)
+    assert gauss_average(lambda dev: np.cos(dist.mean + dev), dist) == (math.cos(2.0), 0.0)
     with pytest.raises(DegenerateDistributionError):
         sample_area(dist, np.random.default_rng(0))
     assert not AreaDistribution(t=1e-300, tau=5e-324, omega_mean=2.0).degenerate
@@ -316,6 +322,36 @@ def test_gamma_char_takes_the_delta_limit_where_t_over_tau_overflows(tau, t):
             want_l, want_a = gamma_char(omega, t, x)
             assert np.array_equal(log_modulus[..., k], want_l)
             assert np.array_equal(angle[..., k], want_a)
+
+
+@pytest.mark.parametrize("x", [*np.logspace(-100, 2, 18), 9.99e-9, 1e-8])
+def test_deviation_char_matches_mpmath(x):
+    # -k log(1 - i x) - i k x at k = 3, against 400 digits: the log modulus to
+    # a few ulp everywhere, the deviation angle too where its series runs, and
+    # elsewhere to a few ulp of the subtracted phase k x
+    k = 3.0
+    with mpmath.workdps(400):
+        want = -k * mpmath.log(mpmath.mpc(1, -x)) - mpmath.mpc(0, k * mpmath.mpf(x))
+        want_l, want_a = mpmath.re(want), mpmath.im(want)
+        log_modulus, angle = deviation_char(x, k, 1.0)
+        assert abs((log_modulus - want_l) / want_l) <= 1e-15
+        bound = 1e-15 * (abs(want_a) if x < 1e-8 else k * x)
+        assert abs(angle - want_a) <= bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [3e5, -2e4, np.array([2e5, 1e5])])
+def test_deviation_char_with_array_tau_equals_its_scalar_calls(omega):
+    # omega tau from 3e-16 to 3e3, across the series' edge, and the delta limit
+    taus = np.concatenate([[1e-320], np.logspace(-21, -2, 60)])
+    t = 3e-5
+    log_modulus, angle = deviation_char(omega, t, taus)
+    assert log_modulus.shape == angle.shape == np.shape(omega) + taus.shape
+    for k, tau in enumerate(taus.tolist()):
+        want_l, want_a = deviation_char(omega, t, tau)
+        assert np.array_equal(log_modulus[..., k], want_l)
+        assert np.array_equal(angle[..., k], want_a)
+    assert np.array_equal(deviation_char(omega, t, 0.0), np.zeros((2,) + np.shape(omega)))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-8, math.nan, math.inf])

@@ -226,6 +226,71 @@ def test_two_bit_quadrature_matches_closed_form():
     assert np.abs(closed.values[mask] - quad.values[mask]).max() < 1e-9
 
 
+@pytest.mark.parametrize("noise", [*np.logspace(-16, 1, 35), 1e-30, 1e-150])
+def test_quadrature_infidelity_matches_the_closed_form_relatively(noise):
+    # Omega tau (one bit) and Omega' tau (two bit) = noise: 1 - F itself, with
+    # the Gauss rule on the area deviation, so no 1 - F is formed from F
+    ctx1 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=noise / CTX.omega)
+    ctx2 = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=noise / CTX.omega_prime)
+    for quad, exact in ((fidelity_one_bit(T_PI, ctx1, Method.QUADRATURE), fidelity_one_bit(T_PI, ctx1)),
+                        (fidelity_two_bit(ctx2, Method.QUADRATURE), fidelity_two_bit(ctx2))):
+        assert quad.one_minus_f == pytest.approx(exact.one_minus_f, rel=1e-12, abs=0)
+        assert quad.fidelity == 1.0 - quad.one_minus_f
+
+
+@pytest.mark.parametrize("noise", [1e-4, 1e-1, 10.0])
+def test_quadrature_infidelity_is_the_contracted_quadrature_tensor(noise):
+    ctx = ctx_at_op_tau(noise)
+    tensor = quad_two_bit_tensor(ctx)
+    quad = fidelity_two_bit(ctx, Method.QUADRATURE)
+    assert quad.one_minus_f == pytest.approx(
+        1.0 - contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF), abs=1e-13)
+
+
+def test_closed_two_bit_tensor_knows_exactly_the_contracted_entries():
+    tensor = closed_two_bit_tensor(CTX)
+    assert tensor.known.sum() == 28
+    assert np.isnan(tensor.values[~tensor.known]).all()
+    # every known entry is read by the contraction, and no other entry is
+    base = contract_fidelity(tensor, TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+    for idx in map(tuple, np.argwhere(tensor.known)):
+        values = tensor.values.copy()
+        values[idx] += 1.0
+        bumped = FidelityTensor(4, values, tensor.known)
+        assert contract_fidelity(bumped, TWO_BIT_W_DIAG, TWO_BIT_W_OFF) != base
+
+
+@pytest.mark.parametrize("noise", [1e-4, 1e-1, 10.0])
+def test_rebase_maps_deviation_moments_to_area_moments(noise):
+    # v(A0 + delta) = R u(delta): R E[u u^T] R^T is the Gauss rule's E[v v^T]
+    # taken on the area itself, for each pulse
+    ctx = ctx_at_op_tau(noise)
+    for r, m, d in zip(fidelity_mod._REBASE, fidelity_mod._gauss_moments(ctx), pulse_distributions(ctx)):
+        def products(dev, d=d):
+            v = fidelity_mod._v(d.mean + dev)
+            return v[:, :, None] * v[:, None, :]
+        direct, _ = decoherence_mod.gauss_average(products, d)
+        assert np.abs(r @ m @ r.T - direct).max() < 1e-13
+
+
+@pytest.mark.parametrize("weights", ["kernel", "tensor"])
+def test_moment_contraction_matches_the_dense_sum(weights):
+    # sum_kl G[k,l] W[k,l], G[k,l] = prod_p M_p[codes[k,p], codes[l,p]], for
+    # random symmetric M_p: the sum over moment pairs against the dense one
+    if weights == "kernel":
+        _, codes, k = fidelity_mod._two_bit_kernel()
+        w = k @ k.T
+    else:
+        codes, t = fidelity_mod._TWO_BIT_TABLE
+        w = np.einsum("kab,lcd->klcabd", t, t.conj())
+    rng = np.random.default_rng(13)
+    moments = [a + a.T for a in rng.normal(size=(3, 3, 3))]
+    g = np.prod([m[np.ix_(c, c)] for m, c in zip(moments, codes.T)], axis=0)
+    dense = np.tensordot(g, w, axes=2)
+    paired = fidelity_mod._contract_moments(fidelity_mod._moment_pairs(codes, w), moments)
+    assert np.abs(paired - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 KERNEL_MOMENTS = {
     "c1": lambda a: math.cos(a / 2),
     "s1": lambda a: math.sin(a / 2),
@@ -484,7 +549,7 @@ def test_oracles_at_a_subnormal_tau(tau):
                 fidelity_two_bit(ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
                 fidelity_one_bit(T_PI, ctx, Method.QUADRATURE)):
         assert res.one_minus_f == pytest.approx(0.0, abs=1e-30) and res.stderr == 0.0
-    # the two-bit quadrature forms 1 - F by subtraction: a few ulp of 1, as at tau = 0
+    # and the two-bit quadrature agrees with the closed form
     quad = fidelity_two_bit(ctx, Method.QUADRATURE).one_minus_f
     assert abs(quad - fidelity_two_bit(ctx).one_minus_f) < 1e-15
 

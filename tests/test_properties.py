@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decogate.bounds import ShorScenario, assess
@@ -24,9 +24,11 @@ from decogate.decoherence import (
     gamma_char,
     kernel_integrals,
 )
+from decogate.dynamics import HamiltonianSpec, compare_evolutions
 from decogate.fidelity import Method, closed_two_bit_tensor, fidelity_one_bit, fidelity_two_bit
 from decogate.gates import GateContext
 from decogate.statemath import DensityMatrix
+from decogate.sweep import SweepSpec, run_sweep
 
 TAU = st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -109,6 +111,32 @@ def test_kernels_rates_and_phase_factor(omega, t, tau):
 def test_evolve_energy_basis(omega, t, tau):
     rho0 = DensityMatrix(np.full((3, 3), 1 / 3, dtype=complex))
     finite_or_value_error(lambda: evolve_energy_basis(rho0, [0.0, omega, -omega], t, tau).matrix)
+
+
+@PROPERTY
+@given(detuning=FINITE, rabi=FINITE, tau=TAU, times=st.lists(FINITE, min_size=1, max_size=3))
+def test_compare_evolutions(detuning, rabi, tau, times):
+    # a driven two-level H; times in any order, sign or size
+    rho0 = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+
+    def distances():
+        h = HamiltonianSpec(np.array([[detuning, rabi], [rabi, -detuning]]))
+        cmp = compare_evolutions(h, rho0, times, tau)
+        return cmp.trace_distance + cmp.max_offdiag_error
+
+    finite_or_value_error(distances)
+
+
+@PROPERTY
+@given(gate=st.sampled_from(["one_bit", "two_bit"]), omega=FINITE, tau_min=FINITE, tau_max=FINITE)
+# 10**log10(tau_max) rounds past the largest float
+@example(gate="one_bit", omega=1.0, tau_min=1.0, tau_max=1.7976931348622105e308)
+def test_analytic_sweep(gate, omega, tau_min, tau_max):
+    def one_minus_f():
+        spec = SweepSpec(gate, tau_min, tau_max, 5, context(omega, 1e-8))
+        return [[r.tau, r.omega_tau, r.fractional_error, r.one_minus_f, r.stderr] for r in run_sweep(spec)]
+
+    finite_or_value_error(one_minus_f)
 
 
 @PROPERTY

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import decogate.decoherence
-import decogate.fidelity
 from decogate.fidelity import Method, fidelity_one_bit, fidelity_two_bit, fractional_error
 from decogate.gates import GateContext
 from decogate.sweep import SweepSpec, fit_loglog_slope, run_sweep
@@ -111,13 +110,14 @@ def test_analytic_rows_match_per_point_queries(gate):
 
 @pytest.mark.parametrize("gate", ["one_bit", "two_bit"])
 def test_analytic_sweep_evaluates_the_grid_in_one_call(gate, monkeypatch):
+    # every closed form reaches gamma_char through decogate.decoherence
     calls = []
-    for module in (decogate.fidelity, decogate.decoherence):
-        def spy(*args, _inner=module.gamma_char):
-            calls.append(np.shape(args[2]))
-            return _inner(*args)
 
-        monkeypatch.setattr(module, "gamma_char", spy)
+    def spy(*args, _inner=decogate.decoherence.gamma_char):
+        calls.append(np.shape(args[2]))
+        return _inner(*args)
+
+    monkeypatch.setattr(decogate.decoherence, "gamma_char", spy)
     spec, _ = _noise_grid_spec(gate, points=50)
     assert len(run_sweep(spec)) == 50
     assert calls == [(50,)]
