@@ -18,6 +18,7 @@ of the closed forms; it hands f each node's deviation A - mean, not A."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +64,7 @@ class AreaDistribution:
     def degenerate(self) -> bool:
         """The delta at the mean: tau = 0, or tau so small that t/tau
         overflows (the limit gamma_char takes).  Every oracle reads this."""
-        return self.tau == 0 or float(self.t) / float(self.tau) == math.inf
+        return _delta(self.t, self.tau)
 
     @property
     def shape(self) -> float:
@@ -103,6 +104,15 @@ class AreaDistribution:
         return np.exp(self.log_pdf(a))
 
 
+def _delta(t: float, tau):
+    """`AreaDistribution.degenerate` for t and tau (as Python floats, t/tau
+    overflows to an inf, no warning); an ndarray tau, positive, gives an array."""
+    if isinstance(tau, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.isinf(t / tau)
+    return tau == 0 or float(t) / float(tau) == math.inf
+
+
 def sample_area(d: AreaDistribution, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw n samples of the pulse area; valid for any shape t/tau > 0."""
     if d.degenerate:
@@ -130,20 +140,16 @@ def gamma_char(omega, t: float, tau):
             raise ValueError(f"t must be finite and nonnegative and every tau finite "
                              f"and positive, got t={t}, tau={tau}")
         _check_products(omega, max(t, float(tau.max(initial=0.0))))
-        with np.errstate(over="ignore"):
-            k = t / tau
-        # where t/tau overflows, the delta limit
-        delta = np.isinf(k)
-        z = -np.where(delta, 0.0, k) * np.log(1 - 1j * np.multiply.outer(omega, tau))
+        delta = _delta(t, tau)
+        k = np.where(delta, 0.0, t / np.where(delta, 1.0, tau))
+        z = -k * np.log(1 - 1j * np.multiply.outer(omega, tau))
         return z.real, z.imag + np.multiply.outer(omega, delta) * t
     if not (math.isfinite(t) and math.isfinite(tau) and t >= 0 and tau >= 0):
         raise ValueError(f"t and tau must be finite and nonnegative, got t={t}, tau={tau}")
     # only outside this range can t/tau, omega t or omega tau overflow
     if not (t <= 1 and 1e-300 <= tau <= 1):
         _check_products(omega, max(t, tau))
-        # tau = 0, or so small that t/tau overflows (as Python floats, which
-        # give an inf and no warning): the delta limit
-        if tau == 0 or float(t) / float(tau) == math.inf:
+        if _delta(t, tau):
             return np.zeros(np.shape(omega)), omega * t
     z = -(t / tau) * np.log(1 - 1j * (omega * tau))
     return z.real, z.imag
@@ -151,15 +157,19 @@ def gamma_char(omega, t: float, tau):
 
 def deviation_char(omega, t: float, tau):
     """gamma_char of the deviation t' - t from the mean: (log modulus, angle -
-    omega t); the delta limit is (0, 0).  Below |x| = |omega tau| = 1e-8 the
-    angle is (2/3) x times the log modulus, the ratio of their series' first
-    terms, as subtracting omega t would leave the angle's rounding (about
-    1e-32 in a 1 - F)."""
+    omega t); the delta limit is (0, 0).  Below |x| = |omega tau| = 1e-8 both
+    come from their series' first terms: the log modulus is -(omega t) x / 2,
+    as gamma_char's loses x^2 to underflow below about x = 1e-154, and the
+    angle is (2/3) x times it, as subtracting omega t would leave the
+    angle's rounding (about 1e-32 in a 1 - F)."""
     log_modulus, angle = gamma_char(omega, t, tau)
     x = np.multiply.outer(omega, tau)
-    small = np.abs(x) < 1e-8  # where the series' second terms are under the rounding
+    # where the series' second terms are under the rounding, unless gamma_char took the delta
+    small = (np.abs(x) < 1e-8) & ~_delta(t, tau)
+    x = np.where(small, x, 0.0)
     phase = np.reshape(np.multiply(omega, t), np.shape(omega) + (1,) * np.ndim(tau))
-    return log_modulus, np.where(small, (2.0 / 3.0) * np.where(small, x, 0.0) * log_modulus, angle - phase)
+    log_modulus = np.where(small, -0.5 * phase * x, log_modulus)
+    return log_modulus, np.where(small, (2.0 / 3.0) * x * log_modulus, angle - phase)
 
 
 def _check_products(omega, span: float) -> None:
@@ -288,17 +298,12 @@ def mc_average(f, d: AreaDistribution, n: int, rng: np.random.Generator):
     return float(mean), float(stderr)
 
 
-def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rule whose Jacobi matrix has this
-    diagonal and off-diagonal: its eigenvalues, and the squared first
-    components of its eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)."""
-    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, vecs[0] ** 2
-
-
+@functools.lru_cache(maxsize=8)
 def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for Gamma(k, 1) in the standardised variable
-    y = (x - k)/sqrt(k), with weights summing to 1.
+    y = (x - k)/sqrt(k), with weights summing to 1, by Golub & Welsch (Math.
+    Comp. 23, 1969): the Jacobi matrix's eigenvalues and the squared first
+    components of its eigenvectors.  Cached; callers must not write to it.
 
     k >= 4: generalised Laguerre, weight x^(k-1) e^-x.  k < 4: Gauss-Jacobi
     for the weight x^(k-1) on [0, 50], with e^-x moved into the weights and
@@ -306,14 +311,18 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     i = np.arange(1, n, dtype=float)
     if k >= _JACOBI_MAX_SHAPE:
-        return _golub_welsch(2 * np.arange(n) / math.sqrt(k), np.sqrt(i * (1 + (i - 1) / k)))
-    b = k - 1.0  # Jacobi exponents (0, b) of (1 - u)^0 (1 + u)^b on [-1, 1]
-    s = 2 * i + b
-    # b + 2, i + b and s +- 1 from k: from b, i = 1 rounds them to 0 at k < 2^-52
-    diag = np.concatenate(([b / (k + 1)], b * b / (s * (s + 2))))
-    u, w = _golub_welsch(diag, 2 * i * (i - 1 + k) / (s * np.sqrt((2 * i + k) * (2 * (i - 1) + k))))
-    x = 0.5 * _JACOBI_SPAN * (1.0 + u)
-    w = w * np.exp(-x)
+        diag, off = 2 * np.arange(n) / math.sqrt(k), np.sqrt(i * (1 + (i - 1) / k))
+    else:
+        b = k - 1.0  # Jacobi exponents (0, b) of (1 - u)^0 (1 + u)^b on [-1, 1]
+        s = 2 * i + b
+        # b + 2, i + b and s +- 1 from k: from b, i = 1 rounds them to 0 at k < 2^-52
+        diag = np.concatenate(([b / (k + 1)], b * b / (s * (s + 2))))
+        off = 2 * i * (i - 1 + k) / (s * np.sqrt((2 * i + k) * (2 * (i - 1) + k)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    if k >= _JACOBI_MAX_SHAPE:
+        return nodes, vecs[0] ** 2
+    x = 0.5 * _JACOBI_SPAN * (1.0 + nodes)
+    w = vecs[0] ** 2 * np.exp(-x)
     return (x - k) / math.sqrt(k), w / w.sum()
 
 

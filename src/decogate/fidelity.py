@@ -4,35 +4,27 @@ The averaged process operator Rbar_{i',i} is the pulse-area average of
 U(A)|i><i'|U(A)^dag; the fidelity tensor F[i',i,j',j] compares it to the
 ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
-two bits).  Every analytic path here has an independent Monte Carlo and
-quadrature oracle, and all three rest on one logical-block table.  With each
-pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the gate W(A) = U_p(A_p)
-... U_1(A_1) expands over one part per pulse, and its amplitudes
-<d|U^dag W(A)|i> on the logical states |i> are sum_k w_k(A) T[k, i, d],
-where w_k(A) = prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2), sin(A/2)).
+two bits).  With each pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the
+gate W(A) = U_p(A_p) ... U_1(A_1) expands over one part per pulse, and its
+amplitudes <d|U^dag W(A)|i> on the logical states |i> are sum_k w_k(A) T[k,
+i, d], where w_k(A) = prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2),
+sin(A/2)).  Rebasing each pulse's parts to its nominal area A0 gives the
+table in the area deviations delta = A - A0, with v replaced by u(delta) =
+(1, sin(delta/2), 2 sin^2(delta/4)); its all-zero code term is the ideal
+gate, and by unitarity 1 - F_n is a sum of squares of the remaining terms,
+||w(delta) @ K||^2 for one real kernel K per gate (`_infidelity_kernel`).
 
-Monte Carlo averages a per-sample infidelity 1 - F_n, not F_n, so a 1 - F
-far below the rounding of F = 1 is still resolved.  Rebasing each pulse's
-parts to its nominal area A0 gives the table in the area deviations delta =
-A - A0, with v replaced by u(delta) = (1, sin(delta/2), 2 sin^2(delta/4)); its
-all-zero code term is the ideal gate, and by unitarity 1 - F_n is a sum of
-squares of the remaining terms, ||w(delta) @ K||^2 for one real kernel K per
-gate (`_infidelity_kernel`).
-
-The closed forms and the quadrature oracle average the same tables: with
-independent areas, E[w_k w_l] = prod_p M_p[codes[k, p], codes[l, p]] for one
-moment matrix M_p = E[u u^T] per pulse, so the two-bit tensor and 1 - F are
-averages of T[k] conj(T[l]) and (K K^T)[k, l] (`_contract_moments`).  The
-two differ only in M_p: closed forms on `deviation_char`, the characteristic
-function of the deviation from the mean area, or the Gauss rule, also on that
-deviation.  (The mean area Omega' t is the nominal one up to the rounding of
-t = pi / Omega'.)
-
-Both oracles are the ones of `decoherence`: every Monte Carlo estimate runs
-its one chunked loop (`_mc_moments`) over exactly the requested number of
-samples per pulse and reports the per-sample standard error, and every
-quadrature runs its one Gauss rule; each reads the distribution's own
-decision whether it is the delta at its mean (tau = 0, or t/tau overflows).
+Both gates run one estimator (`_infidelity`) on their kernel.  Monte Carlo
+averages the per-sample 1 - F_n, not F_n, so a 1 - F far below the rounding
+of F = 1 is still resolved.  The closed form and the quadrature oracle
+average the same sum: with independent areas, E[w_k w_l] = prod_p
+M_p[codes[k, p], codes[l, p]] for one moment matrix M_p = E[u u^T] per
+pulse, so 1 - F is the average of (K K^T)[k, l], and the two-bit tensor that
+of T[k] conj(T[l]) (`_contract_moments`).  The two differ only in M_p:
+closed forms on `deviation_char`, the characteristic function of the
+deviation from the mean area, or the Gauss rule on that deviation.  Both
+oracles are those of `decoherence`, and each reads the distribution's
+decision whether it is the delta at its mean.
 """
 
 from __future__ import annotations
@@ -41,6 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +53,7 @@ from .gates import (
     carrier_parts,
     ideal_one_bit_gate,
     ideal_two_bit_gate,
+    one_bit_unitary,
     pulse_parts,
 )
 from .statemath import LOGICAL_INDICES
@@ -227,92 +221,7 @@ def _contract_moments(pairs, moments):
 
 
 # --------------------------------------------------------------------------
-# One-bit gate
-# --------------------------------------------------------------------------
-
-ONE_BIT_W_DIAG = 3.0 / 8.0
-ONE_BIT_W_OFF = 1.0 / 8.0
-
-
-def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray:
-    """Averaged process operator E[U(A)|i><i'|U(A)^dag] for the carrier
-    rotation, in closed form via the Gamma characteristic function."""
-    if i not in (0, 1) or i_prime not in (0, 1):
-        raise ValueError("state indices must be 0 or 1")
-    k = kernel_integrals(t, ctx.omega, ctx.tau)
-    # U|i> = cos(A/2) e_i + sin(A/2) B e_i, so the average of the outer
-    # product weighs the four column products by C2, S2, Z, Z
-    _, e, b = carrier_parts(ctx.phi)
-    ei, bi, ej, bj = e[:, i], b[:, i], e[:, i_prime].conj(), b[:, i_prime].conj()
-    return k.c2 * np.outer(ei, ej) + k.s2 * np.outer(bi, bj) + k.z * (
-        np.outer(ei, bj) + np.outer(bi, ej)
-    )
-
-
-def _one_minus_f0000(omega: float, t: float, tau):
-    """1 - E[cos^2((A - Omega t)/2)] = (1 - e^l cos(a))/2 with (l, a) the
-    characteristic function of the carrier area's deviation A - Omega t; an
-    ndarray tau gives an array."""
-    return 0.5 * one_minus_re(*deviation_char(omega, t, tau))
-
-
-def _one_bit_infidelity(omega: float, t: float, tau):
-    """Analytic 1 - F: the contraction weights reduce the tensor to
-    F = 1/4 + (3/4) f0000."""
-    return 0.75 * _one_minus_f0000(omega, t, tau)
-
-
-def f0000_one_bit(t: float, ctx: GateContext) -> float:
-    """Closed form of the averaged overlap E[cos^2((A - Omega t)/2)], the
-    single independent tensor element of the one-bit gate."""
-    return 1.0 - float(_one_minus_f0000(ctx.omega, t, ctx.tau))
-
-
-def closed_one_bit_tensor(t: float, ctx: GateContext) -> FidelityTensor:
-    """Full 2x2x2x2 fidelity tensor of the carrier rotation."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    u = ideal_one_bit_gate(t, ctx)
-    return FidelityTensor.full(np.array(
-        [[u.conj().T @ rbar_one_bit(i, ip, t, ctx) @ u for i in range(2)] for ip in range(2)]))
-
-
-def fidelity_one_bit(
-    t: float,
-    ctx: GateContext,
-    method: Method | str = Method.ANALYTIC,
-    n_samples: int = 1_000_000,
-    rng: np.random.Generator | None = None,
-) -> GateFidelityResult:
-    """Averaged one-bit gate fidelity after a rotation of nominal time t."""
-    method = Method(method)
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    stderr = 0.0
-    if method is Method.ANALYTIC:
-        one_minus_f = float(_one_bit_infidelity(ctx.omega, t, ctx.tau))
-    elif method is Method.MONTE_CARLO:
-        # the distribution first: it names an overflowing nominal area Omega t
-        dist = AreaDistribution(t, ctx.tau, ctx.omega)
-        kernel = _infidelity_kernel(((carrier_parts(ctx.phi), dist.mean),),
-                                    ideal_one_bit_gate(t, ctx), (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
-        one_minus_f, stderr = map(float, _mc_moments((dist,), _kernel_statistic(kernel), n_samples, rng))
-    else:
-        # the same reduction by quadrature on the deviation: 1 - F = (3/4) E[sin^2(delta/2)]
-        one_minus_f = 0.75 * float(gauss_average(
-            lambda dev: np.sin(0.5 * dev) ** 2, AreaDistribution(t, ctx.tau, ctx.omega))[0])
-    return GateFidelityResult(
-        fidelity=1.0 - one_minus_f,
-        one_minus_f=one_minus_f,
-        method=method,
-        stderr=stderr,
-        context=ctx,
-        nominal_time=t,
-    )
-
-
-# --------------------------------------------------------------------------
-# Monte Carlo estimator
+# One estimator for both gates
 # --------------------------------------------------------------------------
 
 # Each row of u(delta) = (1, sin(delta/2), 2 sin^2(delta/4)), by code.
@@ -353,6 +262,142 @@ def _kernel_statistic(kernel):
     return statistic
 
 
+class _Gate(NamedTuple):
+    """A gate for _infidelity: its pulses' nominal areas, the cached function
+    that builds its kernel, and its pulses' Rabi frequency and durations."""
+
+    nominal: tuple
+    kernel_of: object
+    omega: float
+    times: tuple
+
+
+@functools.cache
+def _infidelity_pairs(kernel_of):
+    """K K^T of kernel_of()'s kernel as moment pairs: 1 - F = sum G (K K^T)."""
+    _, codes, k = kernel_of()
+    return _moment_pairs(codes, k @ k.T)
+
+
+def _closed_moments(gate: _Gate, tau) -> list:
+    """Per pulse of the gate, E[u(d) u(d)^T] as (3, 3) + tau.shape for the
+    area deviation d, from E sin and E[1 - cos] of d and d/2: the first
+    pulse's characteristic function (`deviation_char`) to the power times[p]
+    / times[0], exact for a Gamma (and 1 for the first, even of duration 0).
+    E[sin^2(d/2)] = E[1 - cos d]/2, E[sin(d/2) (1 - cos(d/2))] = E sin(d/2) -
+    E[sin d]/2 and E[(1 - cos(d/2))^2] = 2 E[1 - cos(d/2)] - E[1 - cos d]/2."""
+    times, s, shape = gate.times, np.array([1.0, 0.5]), (1,) * np.ndim(tau)
+    log_modulus, angle = deviation_char(s * gate.omega, times[0], tau)
+    powers = np.reshape([1.0] + [t / times[0] for t in times[1:]], (-1,) + shape)
+    log_modulus, angle = log_modulus[:, None] * powers, angle[:, None] * powers
+    sin_full, sin_half = np.exp(log_modulus) * np.sin(angle)
+    vers_full, vers_half = one_minus_re(log_modulus, angle)
+    ss, sv, vv = 0.5 * vers_full, sin_half - 0.5 * sin_full, 2.0 * vers_half - 0.5 * vers_full
+    m = np.array([np.ones_like(ss), sin_half, vers_half, sin_half, ss, sv, vers_half, sv, vv])
+    return [m.reshape((3, 3) + ss.shape)[:, :, p] for p in range(len(ss))]
+
+
+def _gauss_moments(dists) -> list:
+    """Per pulse distribution, E[u(delta) u(delta)^T] by the Gauss rule on
+    the deviation from the mean, once per distinct distribution."""
+    def products(dev):
+        u = np.stack([row(dev) for row in _U_ROWS], axis=-1)
+        return u[:, :, None] * u[:, None, :]
+    moments = {d: gauss_average(products, d)[0] for d in set(dists)}
+    return [moments[d] for d in dists]
+
+
+def _infidelity(gate: _Gate, tau, method: Method, n_samples: int = 1_000_000,
+                rng: np.random.Generator | None = None):
+    """(1 - F, stderr) of the gate at noise tau: the moment contraction of
+    K K^T on closed-form or Gauss-rule moments, or the Monte Carlo mean of
+    ||w(delta) @ K||^2.  An ndarray tau gives arrays (analytic only)."""
+    if method is Method.ANALYTIC:
+        moments = _closed_moments(gate, tau)
+    else:
+        # the distributions first: they name an overflowing nominal area or scale
+        dists = tuple(AreaDistribution(t, tau, gate.omega) for t in gate.times)
+        if method is Method.MONTE_CARLO:
+            _, codes, k = gate.kernel_of()
+            return _mc_moments(dists, _kernel_statistic((gate.nominal, codes, k)), n_samples, rng)
+        moments = _gauss_moments(dists)
+    return _contract_moments(_infidelity_pairs(gate.kernel_of), moments), 0.0
+
+
+def _gate_fidelity(gate: _Gate, ctx: GateContext, method, n_samples: int,
+                   rng: np.random.Generator | None, nominal_time: float) -> GateFidelityResult:
+    """The gate's _infidelity at ctx.tau as a result record."""
+    method = Method(method)
+    one_minus_f, stderr = map(float, _infidelity(gate, ctx.tau, method, n_samples, rng))
+    return GateFidelityResult(fidelity=1.0 - one_minus_f, one_minus_f=one_minus_f, method=method,
+                              stderr=stderr, context=ctx, nominal_time=nominal_time)
+
+
+# --------------------------------------------------------------------------
+# One-bit gate
+# --------------------------------------------------------------------------
+
+ONE_BIT_W_DIAG = 3.0 / 8.0
+ONE_BIT_W_OFF = 1.0 / 8.0
+
+
+def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray:
+    """Averaged process operator E[U(A)|i><i'|U(A)^dag] for the carrier
+    rotation, in closed form via the Gamma characteristic function."""
+    if i not in (0, 1) or i_prime not in (0, 1):
+        raise ValueError("state indices must be 0 or 1")
+    k = kernel_integrals(t, ctx.omega, ctx.tau)
+    # U|i> = cos(A/2) e_i + sin(A/2) B e_i, so the average of the outer
+    # product weighs the four column products by C2, S2, Z, Z
+    _, e, b = carrier_parts(ctx.phi)
+    ei, bi, ej, bj = e[:, i], b[:, i], e[:, i_prime].conj(), b[:, i_prime].conj()
+    return k.c2 * np.outer(ei, ej) + k.s2 * np.outer(bi, bj) + k.z * (
+        np.outer(ei, bj) + np.outer(bi, ej)
+    )
+
+
+def f0000_one_bit(t: float, ctx: GateContext) -> float:
+    """Closed form of the averaged overlap E[cos^2((A - Omega t)/2)], the
+    single independent tensor element of the one-bit gate: 1 - E[sin^2(delta/2)]."""
+    return 1.0 - float(_closed_moments(_one_bit_gate(t, ctx), ctx.tau)[0][1, 1])
+
+
+def closed_one_bit_tensor(t: float, ctx: GateContext) -> FidelityTensor:
+    """Full 2x2x2x2 fidelity tensor of the carrier rotation."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    u = ideal_one_bit_gate(t, ctx)
+    return FidelityTensor.full(np.array(
+        [[u.conj().T @ rbar_one_bit(i, ip, t, ctx) @ u for i in range(2)] for ip in range(2)]))
+
+
+@functools.cache
+def _one_bit_kernel():
+    """The carrier rotation's kernel at phi = 0 and nominal area pi.  Its one
+    term, sin(delta/2) U(A0)^dag (c0 b - s0) = sin(delta/2) b, and K K^T =
+    3/4 hold at every A0 and phi, so it serves every t and phi."""
+    return _infidelity_kernel(((carrier_parts(0.0), PI),), one_bit_unitary(PI), (0, 1),
+                              ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+
+
+def _one_bit_gate(t: float, ctx: GateContext) -> _Gate:
+    """The carrier rotation of nominal time t."""
+    return _Gate((ctx.omega * t,), _one_bit_kernel, ctx.omega, (t,))
+
+
+def fidelity_one_bit(
+    t: float,
+    ctx: GateContext,
+    method: Method | str = Method.ANALYTIC,
+    n_samples: int = 1_000_000,
+    rng: np.random.Generator | None = None,
+) -> GateFidelityResult:
+    """Averaged one-bit gate fidelity after a rotation of nominal time t."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+    return _gate_fidelity(_one_bit_gate(t, ctx), ctx, method, n_samples, rng, t)
+
+
 # --------------------------------------------------------------------------
 # Two-bit gate
 # --------------------------------------------------------------------------
@@ -381,51 +426,17 @@ def _two_bit_kernel():
                               TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
 
 
-@functools.cache
-def _two_bit_infidelity_weights():
-    """K K^T as moment pairs: 1 - F = sum_kl G[k,l] (K K^T)[k,l]."""
-    _, codes, k = _two_bit_kernel()
-    return _moment_pairs(codes, k @ k.T)
+def _two_bit_gate(ctx: GateContext) -> _Gate:
+    """The three pulses (nominal areas pi, 2pi, pi) at Omega'."""
+    wp = ctx.omega_prime
+    return _Gate(tuple(a0 for _, a0 in _TWO_BIT_PULSES), _two_bit_kernel, wp,
+                 tuple(a0 / wp for _, a0 in _TWO_BIT_PULSES))
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
     """Area distributions of the three pulses (nominal pi, 2pi, pi)."""
     wp = ctx.omega_prime
     return tuple(AreaDistribution(step.nominal_area / wp, ctx.tau, wp) for step in UNIVERSAL_SEQUENCE)
-
-
-def _closed_moments(omega_prime: float, tau) -> list:
-    """Per pulse, E[u(d) u(d)^T] as (3, 3) + tau.shape for the area deviation
-    d, from E sin and E[1 - cos] of d and d/2: the characteristic function of
-    the pi pulse's deviation (`deviation_char`), to the power m for a pulse of
-    m times the area.  E[sin^2(d/2)] = E[1 - cos d]/2, E[sin(d/2) (1 -
-    cos(d/2))] = E sin(d/2) - E[sin d]/2 and E[(1 - cos(d/2))^2] = 2 E[1 -
-    cos(d/2)] - E[1 - cos d]/2."""
-    s, shape = np.array([1.0, 0.5]), (1,) * np.ndim(tau)
-    log_modulus, angle = deviation_char(s * omega_prime, PI / omega_prime, tau)
-    powers = np.reshape([a0 / PI for _, a0 in _TWO_BIT_PULSES], (-1,) + shape)
-    log_modulus, angle = log_modulus[:, None] * powers, angle[:, None] * powers
-    sin_full, sin_half = np.exp(log_modulus) * np.sin(angle)
-    vers_full, vers_half = one_minus_re(log_modulus, angle)
-    ss, sv, vv = 0.5 * vers_full, sin_half - 0.5 * sin_full, 2.0 * vers_half - 0.5 * vers_full
-    m = np.array([np.ones_like(ss), sin_half, vers_half, sin_half, ss, sv, vers_half, sv, vv])
-    return [m.reshape((3, 3) + ss.shape)[:, :, p] for p in range(len(ss))]
-
-
-def _gauss_moments(ctx: GateContext) -> list:
-    """Per pulse, E[u(delta) u(delta)^T] by the Gauss rule on the deviation
-    from the mean, once per distinct distribution."""
-    def products(dev):
-        u = np.stack([row(dev) for row in _U_ROWS], axis=-1)
-        return u[:, :, None] * u[:, None, :]
-    dists = pulse_distributions(ctx)
-    moments = {d: gauss_average(products, d)[0] for d in set(dists)}
-    return [moments[d] for d in dists]
-
-
-def _two_bit_infidelity(omega_prime: float, tau):
-    """Analytic 1 - F; an ndarray tau gives an array."""
-    return _contract_moments(_two_bit_infidelity_weights(), _closed_moments(omega_prime, tau))
 
 
 def _two_bit_tensor(moments) -> np.ndarray:
@@ -435,7 +446,7 @@ def _two_bit_tensor(moments) -> np.ndarray:
 
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Closed-form two-bit tensor on the entries contract_fidelity reads; NaN elsewhere."""
-    values = _two_bit_tensor(_closed_moments(ctx.omega_prime, ctx.tau))
+    values = _two_bit_tensor(_closed_moments(_two_bit_gate(ctx), ctx.tau))
     values[~_TWO_BIT_KNOWN] = np.nan
     return FidelityTensor(n_states=4, values=values, known=_TWO_BIT_KNOWN.copy())
 
@@ -451,24 +462,7 @@ def fidelity_two_bit(
     The nominal gate time is fixed by the pulse sequence (4 pi / omega');
     there is no free time parameter.
     """
-    method = Method(method)
-    nominal_time = 4 * PI / ctx.omega_prime
-    stderr = 0.0
-    if method is Method.ANALYTIC:
-        one_minus_f = float(_two_bit_infidelity(ctx.omega_prime, ctx.tau))
-    elif method is Method.MONTE_CARLO:
-        one_minus_f, stderr = map(float, _mc_moments(
-            pulse_distributions(ctx), _kernel_statistic(_two_bit_kernel()), n_samples, rng))
-    else:
-        one_minus_f = float(_contract_moments(_two_bit_infidelity_weights(), _gauss_moments(ctx)))
-    return GateFidelityResult(
-        fidelity=1.0 - one_minus_f,
-        one_minus_f=one_minus_f,
-        method=method,
-        stderr=stderr,
-        context=ctx,
-        nominal_time=nominal_time,
-    )
+    return _gate_fidelity(_two_bit_gate(ctx), ctx, method, n_samples, rng, 4 * PI / ctx.omega_prime)
 
 
 def mc_two_bit_tensor(
@@ -494,4 +488,4 @@ def fidelity_mc_two_bit(
 
 def quad_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Quadrature oracle for the two-bit tensor: the Gauss rule's moments."""
-    return FidelityTensor.full(_two_bit_tensor(_gauss_moments(ctx)))
+    return FidelityTensor.full(_two_bit_tensor(_gauss_moments(pulse_distributions(ctx))))

@@ -93,6 +93,8 @@ def carrier_parts(phi: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def one_bit_unitary(area: float, phi: float = 0.0) -> np.ndarray:
     """Carrier rotation on {|g>, |e>}: |g> -> cos(A/2)|g> - i e^{i phi}
     sin(A/2)|e>, |e> -> cos(A/2)|e> - i e^{-i phi} sin(A/2)|g>."""
+    if not (math.isfinite(area) and math.isfinite(phi)):
+        raise ValueError(f"area and phi must be finite, got area={area}, phi={phi}")
     q, r, b = carrier_parts(phi)
     return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
 
@@ -128,6 +130,8 @@ def pulse_parts(step: PulseStep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def pulse_unitary(step: PulseStep, area: float) -> np.ndarray:
     """18x18 unitary of one sideband pulse at the given accumulated area."""
+    if not (math.isfinite(area) and math.isfinite(step.phase)):
+        raise ValueError(f"area and phase must be finite, got area={area}, phase={step.phase}")
     q, r, b = pulse_parts(step)
     return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
 
@@ -142,6 +146,6 @@ def ideal_two_bit_gate() -> np.ndarray:
 
 def ideal_one_bit_gate(t: float, ctx: GateContext) -> np.ndarray:
     """Carrier rotation at the nominal area omega*t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     return one_bit_unitary(ctx.omega * t, ctx.phi)

@@ -6,20 +6,19 @@ tau), the fractional pulse-area error sqrt(tau/t_ref), and 1-F.  The
 reference time is the pi-pulse duration of the respective gate.  A log-log
 least-squares fit recovers the quadratic small-noise scaling (slope 2).
 
-The analytic grid is one array pass through the same closed forms that a
-single fidelity query uses; Monte Carlo and quadrature still run point by
-point, each Monte Carlo point on its own spawned random stream.
+Every method runs the estimator that a single fidelity query of either gate
+uses: the analytic grid in one array pass, Monte Carlo and quadrature point
+by point, each Monte Carlo point on its own spawned random stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import Method, fidelity_one_bit, fidelity_two_bit
-from .fidelity import _one_bit_infidelity, _two_bit_infidelity
+from .fidelity import Method, _infidelity, _one_bit_gate, _two_bit_gate
 from .gates import GateContext
 
 
@@ -66,24 +65,15 @@ def run_sweep(spec: SweepSpec, seed: int = 0) -> list[SweepRow]:
         taus = np.logspace(math.log10(spec.tau_min), math.log10(spec.tau_max), spec.points)
     if not np.isfinite(taus[-1]):
         raise ValueError(f"tau_max {spec.tau_max} overflows on the log-spaced grid")
-    one_bit = spec.gate == "one_bit"
-    omega = ctx.omega if one_bit else ctx.omega_prime
-    t_ref = math.pi / omega
+    gate = _one_bit_gate(math.pi / ctx.omega, ctx) if spec.gate == "one_bit" else _two_bit_gate(ctx)
     if method is Method.ANALYTIC:
-        one_minus_f = (_one_bit_infidelity(omega, t_ref, taus) if one_bit
-                       else _two_bit_infidelity(omega, taus))
-        stderr = np.zeros_like(taus)
+        one_minus_f, stderr = _infidelity(gate, taus, method)
     else:
-        results = []
-        for tau, child in zip(taus, np.random.SeedSequence(seed).spawn(len(taus))):
-            point = replace(ctx, tau=float(tau))
-            rng = np.random.default_rng(child)
-            results.append(
-                fidelity_one_bit(t_ref, point, method, spec.mc_samples, rng) if one_bit
-                else fidelity_two_bit(point, method, spec.mc_samples, rng))
-        one_minus_f = [r.one_minus_f for r in results]
-        stderr = [r.stderr for r in results]
-    columns = np.column_stack([taus, omega * taus, np.sqrt(taus / t_ref), one_minus_f, stderr])
+        one_minus_f, stderr = np.transpose([
+            _infidelity(gate, tau, method, spec.mc_samples, np.random.default_rng(child))
+            for tau, child in zip(taus.tolist(), np.random.SeedSequence(seed).spawn(len(taus)))])
+    columns = np.column_stack(np.broadcast_arrays(
+        taus, gate.omega * taus, np.sqrt(taus / gate.times[0]), one_minus_f, stderr))
     return [SweepRow(*row) for row in columns.tolist()]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from decogate import decoherence
 from decogate.decoherence import (
     AreaDistribution,
     DegenerateDistributionError,
@@ -102,6 +103,17 @@ def test_quad_average_calls_f_with_python_floats():
     for dist in (AreaDistribution(1.0, 0.1, 1.0), AreaDistribution(1.0, 1.0, 1.0)):
         quad_average(f, dist)
     assert seen == {float}
+
+
+def test_quadratures_of_one_distribution_reuse_its_gauss_rules():
+    # every pulse kernel of one distribution is checked by its own quadrature
+    dist = AreaDistribution(math.pi / 1e5, 1e-9, 1e5)
+    decoherence._gamma_rule.cache_clear()
+    first = quad_average(lambda a: math.cos(a / 2), dist)
+    built = decoherence._gamma_rule.cache_info().misses
+    assert quad_average(lambda a: math.cos(a / 2), dist) == first
+    info = decoherence._gamma_rule.cache_info()
+    assert built >= 2 and (info.misses, info.hits) == (built, built)
 
 
 def test_quad_average_raises_when_the_rule_does_not_converge():

@@ -5,6 +5,7 @@ import pytest
 
 import decogate.decoherence as decoherence_mod
 import decogate.fidelity as fidelity_mod
+import decogate.validate as validate_mod
 from decogate.decoherence import (
     MIN_MC_SAMPLES,
     AreaDistribution,
@@ -62,6 +63,10 @@ def ctx_at_op_tau(op_tau: float) -> GateContext:
 
 def test_frozen_f0000():
     assert f0000_one_bit(T_PI, CTX) == pytest.approx(0.9992152187558311, abs=1e-12)
+
+
+def test_f0000_of_a_zero_time_rotation_is_one():
+    assert f0000_one_bit(0.0, CTX) == 1.0
 
 
 def test_frozen_one_bit_infidelity():
@@ -128,6 +133,16 @@ def test_tensor_conjugation_symmetry():
     assert np.abs(v - v.conj().transpose(1, 0, 3, 2)).max() < 1e-12
 
 
+def test_two_bit_tensor_check_fails_on_a_transposed_quadrature_tensor(monkeypatch):
+    # the Monte Carlo and quadrature tensors agree entry by entry; swapping
+    # i and i' in one of them (a fault conjugation symmetry cannot see) fails
+    assert validate_mod.check_two_bit_tensor_mc(200_000, 0).passed
+    quad = validate_mod.quad_two_bit_tensor
+    monkeypatch.setattr(validate_mod, "quad_two_bit_tensor",
+                        lambda ctx: FidelityTensor.full(quad(ctx).values.transpose(1, 0, 2, 3)))
+    assert not validate_mod.check_two_bit_tensor_mc(200_000, 0).passed
+
+
 def test_closed_one_bit_tensor_contracts_to_fidelity():
     tensor = closed_one_bit_tensor(T_PI, CTX)
     f = contract_fidelity(tensor, ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
@@ -181,10 +196,16 @@ def test_fractional_error_rejects_out_of_domain(t, tau):
 # --- oracle agreement --------------------------------------------------------
 
 
-def test_one_bit_mc_within_five_sigma():
+# (nominal time, phi) of the one-bit rotations the oracles are checked at
+ONE_BIT_ROTATIONS = pytest.mark.parametrize("t, phi", [(T_PI, 0.0), (0.6 * T_PI, 0.7), (2 * T_PI, 2.0)])
+
+
+@ONE_BIT_ROTATIONS
+def test_one_bit_mc_within_five_sigma(t, phi):
     rng = np.random.default_rng(7)
-    exact = fidelity_one_bit(T_PI, CTX)
-    mc = fidelity_one_bit(T_PI, CTX, Method.MONTE_CARLO, 200_000, rng)
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8, phi=phi)
+    exact = fidelity_one_bit(t, ctx)
+    mc = fidelity_one_bit(t, ctx, Method.MONTE_CARLO, 200_000, rng)
     assert abs(mc.fidelity - exact.fidelity) < 5 * mc.stderr
     assert mc.stderr > 0
 
@@ -205,10 +226,13 @@ def test_mc_infidelity_within_five_sigma_down_to_tiny_noise(noise):
         assert mc.fidelity == 1.0 - mc.one_minus_f
 
 
-def test_one_bit_quadrature_matches_closed_form():
-    exact = fidelity_one_bit(T_PI, CTX)
-    quad = fidelity_one_bit(T_PI, CTX, Method.QUADRATURE)
+@ONE_BIT_ROTATIONS
+def test_one_bit_quadrature_matches_closed_form(t, phi):
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8, phi=phi)
+    exact = fidelity_one_bit(t, ctx)
+    quad = fidelity_one_bit(t, ctx, Method.QUADRATURE)
     assert abs(quad.fidelity - exact.fidelity) < 1e-9
+    assert quad.one_minus_f == pytest.approx(exact.one_minus_f, rel=1e-12, abs=0)
 
 
 def test_two_bit_mc_within_five_sigma():
@@ -226,7 +250,7 @@ def test_two_bit_quadrature_matches_closed_form():
     assert np.abs(closed.values[mask] - quad.values[mask]).max() < 1e-9
 
 
-@pytest.mark.parametrize("noise", [*np.logspace(-16, 1, 35), 1e-30, 1e-150])
+@pytest.mark.parametrize("noise", [*np.logspace(-16, 1, 35), 1e-30, 1e-150, 1e-160, 1e-200, 1e-300])
 def test_quadrature_infidelity_matches_the_closed_form_relatively(noise):
     # Omega tau (one bit) and Omega' tau (two bit) = noise: 1 - F itself, with
     # the Gauss rule on the area deviation, so no 1 - F is formed from F
@@ -264,8 +288,8 @@ def test_closed_two_bit_tensor_knows_exactly_the_contracted_entries():
 def test_rebase_maps_deviation_moments_to_area_moments(noise):
     # v(A0 + delta) = R u(delta): R E[u u^T] R^T is the Gauss rule's E[v v^T]
     # taken on the area itself, for each pulse
-    ctx = ctx_at_op_tau(noise)
-    for r, m, d in zip(fidelity_mod._REBASE, fidelity_mod._gauss_moments(ctx), pulse_distributions(ctx)):
+    dists = pulse_distributions(ctx_at_op_tau(noise))
+    for r, m, d in zip(fidelity_mod._REBASE, fidelity_mod._gauss_moments(dists), dists):
         def products(dev, d=d):
             v = fidelity_mod._v(d.mean + dev)
             return v[:, :, None] * v[:, None, :]
