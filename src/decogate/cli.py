@@ -11,16 +11,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import validate as validate_mod
+# bounds is pure math: every other module, and numpy, is imported by the
+# handler that uses it, so `shor` and `--help` load no numpy
 from .bounds import DEFAULT_FEASIBILITY_THRESHOLD, ShorScenario, assess
-from .dynamics import HamiltonianSpec, compare_evolutions
-from .decoherence import MIN_MC_SAMPLES
-from .fidelity import Method, fidelity_one_bit, fidelity_two_bit
-from .gates import GateContext
-from .statemath import DensityMatrix
-from .sweep import SweepSpec, fit_loglog_slope, run_sweep
 
 # Defaults pinned to the experimentally fitted parameter regime.
 DEFAULT_OMEGA = 1e5
@@ -103,20 +96,28 @@ def _add_common(p: argparse.ArgumentParser, physical: bool = True) -> None:
         p.add_argument("--tau", type=float, default=None, help="scaling time [s]")
 
 
-def _context(args: argparse.Namespace) -> GateContext:
+def _context(args: argparse.Namespace):
+    from .gates import GateContext
+
     return GateContext(omega=args.omega, eta=args.eta, n_ions=args.ions, tau=args.tau)
 
 
 def cmd_fidelity(args, parser) -> int:
+    from .fidelity import Method, fidelity_one_bit, fidelity_two_bit
+
     _resolve(args, parser)
+    if args.gate == "two-bit" and (args.time is not None or args.rotation is not None):
+        parser.error("--time and --rotation apply only to --gate one-bit")
     method = Method.ANALYTIC if args.method == "analytic" else Method.MONTE_CARLO
-    rng = np.random.default_rng(args.seed)
+    rng = None
+    if method is Method.MONTE_CARLO:  # an analytic query loads no numpy.random
+        import numpy as np
+
+        rng = np.random.default_rng(args.seed)
     try:
         ctx = _context(args)
         if args.gate == "one-bit":
             if args.rotation is not None:
-                if args.rotation != "pi":
-                    parser.error("only --rotation pi is supported")
                 t = math.pi / ctx.omega
             elif args.time is not None:
                 t = args.time
@@ -147,6 +148,9 @@ def cmd_fidelity(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
+    from .fidelity import Method
+    from .sweep import SweepSpec, fit_loglog_slope, run_sweep
+
     _resolve(args, parser)
     if args.points < 2:
         parser.error("need at least 2 points")
@@ -174,11 +178,7 @@ def cmd_sweep(args, parser) -> int:
     if args.fit:
         slope, _, r2 = fit_loglog_slope(rows)
         lines.append(f"# slope={_fmt(slope)} r2={_fmt(r2)}")
-    try:
-        _emit(args, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -194,7 +194,9 @@ def cmd_shor(args, parser) -> int:
     return 0
 
 
-def _load_hamiltonian(path: str) -> np.ndarray:
+def _load_hamiltonian(path: str):
+    import numpy as np
+
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
@@ -216,6 +218,11 @@ def _load_hamiltonian(path: str) -> np.ndarray:
 
 
 def cmd_evolve(args, parser) -> int:
+    import numpy as np
+
+    from .dynamics import HamiltonianSpec, compare_evolutions
+    from .statemath import DensityMatrix
+
     _resolve(args, parser)
     try:
         hm = _load_hamiltonian(args.hamiltonian)
@@ -249,18 +256,19 @@ def cmd_evolve(args, parser) -> int:
 
 
 def cmd_validate(args, parser) -> int:
+    from .decoherence import MIN_MC_SAMPLES
+    from .validate import run_all
+
     _resolve(args, parser)
     if args.samples < MIN_MC_SAMPLES:
         parser.error(f"--samples must be at least {MIN_MC_SAMPLES}")
-    results = validate_mod.run_all(n_samples=args.samples, seed=args.seed)
+    results = run_all(n_samples=args.samples, seed=args.seed)
     width = max(len(r.name) for r in results)
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
-        ok &= r.passed
-    print(f"{'TOTAL':<{width}}  {'PASS' if ok else 'FAIL'}  "
-          f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    ok = all(r.passed for r in results)
+    lines = [f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}" for r in results]
+    lines.append(f"{'TOTAL':<{width}}  {'PASS' if ok else 'FAIL'}  "
+                 f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -281,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fidelity", cmd_fidelity, "gate fidelity at fixed parameters")
     p.add_argument("--gate", choices=["one-bit", "two-bit"], required=True)
     p.add_argument("--method", choices=["analytic", "mc"], default="analytic")
-    p.add_argument("--rotation", choices=["pi"], default=None,
-                   help="nominal one-bit rotation (pi pulse)")
-    p.add_argument("--time", type=float, default=None, help="one-bit rotation time [s]")
+    one_bit = p.add_mutually_exclusive_group()
+    one_bit.add_argument("--rotation", choices=["pi"], default=None,
+                         help="nominal one-bit rotation (pi pulse)")
+    one_bit.add_argument("--time", type=float, default=None, help="one-bit rotation time [s]")
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
 
     p = command("sweep", cmd_sweep, "1-F vs fractional area error on a tau grid")
@@ -321,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

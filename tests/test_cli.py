@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -78,6 +79,24 @@ def test_fidelity_requires_time_or_rotation():
     with pytest.raises(SystemExit) as exc:
         main(["fidelity", "--gate", "one-bit"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gate", "one-bit", "--time", "3e-5", "--rotation", "pi"],
+        ["--gate", "two-bit", "--time", "3e-5"],
+        ["--gate", "two-bit", "--rotation", "pi"],
+        ["--gate", "two-bit", "--time", "3", "--rotation", "pi"],
+    ],
+)
+def test_fidelity_flag_it_would_ignore_is_usage_error(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--time" in captured.err or "--rotation" in captured.err
 
 
 def test_sweep_csv_schema(capsys):
@@ -198,13 +217,13 @@ def test_fidelity_mc_at_an_overflowing_tau_is_usage_error(capsys, gate):
 
 
 def test_fidelity_refuses_to_print_a_nan(capsys, monkeypatch):
-    import decogate.cli as cli
+    import decogate.fidelity as fidelity
     from decogate.fidelity import GateFidelityResult, Method
 
     def nan_result(ctx, *args):
         return GateFidelityResult(math.nan, math.nan, Method.ANALYTIC, 0.0, ctx, 1.0)
 
-    monkeypatch.setattr(cli, "fidelity_two_bit", nan_result)
+    monkeypatch.setattr(fidelity, "fidelity_two_bit", nan_result)
     assert main(["fidelity", "--gate", "two-bit"]) == 1
     assert capsys.readouterr().out == ""
 
@@ -401,6 +420,15 @@ def test_validate_small_sample_run(capsys):
     assert lines[-1].startswith("TOTAL")
 
 
+def test_validate_out_flag_writes_the_report(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out = run(capsys, "validate", "--samples", "20000", "--out", str(target))
+    assert code == 0
+    assert out == ""
+    _, report = run(capsys, "validate", "--samples", "20000")
+    assert target.read_text() == report
+
+
 # one valid invocation of every subcommand; "h.json" stands for a Hamiltonian file
 EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
@@ -439,6 +467,65 @@ def test_usage_error_prints_the_subcommand_usage(tmp_path, capsys, argv):
         main(argv + ["--seed", "-1"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: decogate {argv[0]} ")
+
+
+@EVERY_SUBCOMMAND
+def test_unwritable_out_is_an_error_without_traceback(tmp_path, capsys, argv):
+    _write_hamiltonian(tmp_path / "h.json")
+    argv = [str(tmp_path / a) if a == "h.json" else a for a in argv]
+    target = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert not target.exists()
+
+
+def loaded_modules(*args):
+    """The modules a fresh `python *args` imports, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, check=True)
+    return set(re.findall(r"^import time:\s+\d+ \|\s+\d+ \| *(\S+)$", proc.stderr, re.M))
+
+
+def decogate_modules(modules):
+    return {m.removeprefix("decogate.") for m in modules if m.split(".")[0] == "decogate"}
+
+
+NUMERIC_CORE = {"decogate", "bounds", "statemath", "decoherence", "gates", "fidelity"}
+
+
+@pytest.mark.parametrize(
+    "args, own",
+    [
+        (["-c", "import decogate"], {"decogate"}),
+        (["-c", "import decogate.cli"], {"decogate", "bounds", "cli"}),
+        (["-m", "decogate.cli", "shor", "--bits", "4"], {"decogate", "bounds"}),
+        (["-m", "decogate.cli", "--help"], {"decogate", "bounds"}),
+    ],
+    ids=["import-package", "import-cli", "shor", "help"],
+)
+def test_no_numerics_loads_no_numpy(args, own):
+    modules = loaded_modules(*args)
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+    assert decogate_modules(modules) == own
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["fidelity", "--gate", "one-bit", "--rotation", "pi"], NUMERIC_CORE),
+        (["fidelity", "--gate", "two-bit"], NUMERIC_CORE),
+        (["sweep", "--gate", "two-bit", "--tau-min", "1e-10", "--tau-max", "1e-8"],
+         NUMERIC_CORE | {"sweep"}),
+    ],
+    ids=["fidelity-one-bit", "fidelity-two-bit", "sweep"],
+)
+def test_analytic_subcommand_loads_only_what_it_calls(argv, own):
+    # no dynamics or validate, and no numpy.random: nothing is sampled
+    modules = loaded_modules("-m", "decogate.cli", *argv)
+    assert decogate_modules(modules) == own
+    assert "numpy.random" not in modules
 
 
 def test_cli_import_loads_no_scipy():
