@@ -10,7 +10,8 @@ decay/shift rates, the averaged phase factor, the characteristic function of
 the deviation from the mean (`deviation_char`), the closed-form pulse-average
 kernels, and the two oracles that cross-check every closed form: one chunked
 Monte Carlo loop (`_mc_moments`, `mc_average`) and one Gauss rule for the
-Gamma weight (`gauss_average`, `quad_average`).  The distribution decides
+Gamma weight (`gauss_average`, `quad_average`), whose node count doubles from
+8 until two estimates agree.  The distribution decides
 once whether it is the delta at its mean (`degenerate`); both oracles read
 that.  The Gauss rule is built from the Gamma's three-term recurrence alone
 (Golub-Welsch), not its pdf or characteristic function, so it is independent
@@ -27,9 +28,10 @@ import numpy as np
 from .statemath import DensityMatrix
 
 QUAD_ABS_TOL = 1e-12
-# Gauss rules of 32, 64, ..., 512 nodes.  Shapes below 4 use Gauss-Jacobi on
-# [0, 50] instead of Gauss-Laguerre; P(Gamma(4) > 50) = 4.3e-18.
-_GAUSS_NODES = (32, 64, 128, 256, 512)
+# Gauss rules of 8, 16, ..., 512 nodes; the oracles mostly stop at 16 or 32.
+# Shapes below 4 use Gauss-Jacobi on [0, 50] instead of Gauss-Laguerre;
+# P(Gamma(4) > 50) = 4.3e-18.
+_GAUSS_NODES = (8, 16, 32, 64, 128, 256, 512)
 _JACOBI_MAX_SHAPE, _JACOBI_SPAN = 4.0, 50.0
 
 
@@ -303,7 +305,7 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for Gamma(k, 1) in the standardised variable
     y = (x - k)/sqrt(k), with weights summing to 1, by Golub & Welsch (Math.
     Comp. 23, 1969): the Jacobi matrix's eigenvalues and the squared first
-    components of its eigenvectors.  Cached; callers must not write to it.
+    components of its eigenvectors.  Cached, so both arrays are read-only.
 
     k >= 4: generalised Laguerre, weight x^(k-1) e^-x.  k < 4: Gauss-Jacobi
     for the weight x^(k-1) on [0, 50], with e^-x moved into the weights and
@@ -320,15 +322,19 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         off = 2 * i * (i - 1 + k) / (s * np.sqrt((2 * i + k) * (2 * (i - 1) + k)))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     if k >= _JACOBI_MAX_SHAPE:
-        return nodes, vecs[0] ** 2
-    x = 0.5 * _JACOBI_SPAN * (1.0 + nodes)
-    w = vecs[0] ** 2 * np.exp(-x)
-    return (x - k) / math.sqrt(k), w / w.sum()
+        y, w = nodes, vecs[0] ** 2
+    else:
+        x = 0.5 * _JACOBI_SPAN * (1.0 + nodes)
+        w = vecs[0] ** 2 * np.exp(-x)
+        y, w = (x - k) / math.sqrt(k), w / w.sum()
+    y.setflags(write=False)
+    w.setflags(write=False)
+    return y, w
 
 
 def gauss_average(f, d: AreaDistribution):
-    """E[f(A - mean)] by the Gamma Gauss rule at 32, 64, ... nodes, until two
-    successive estimates agree within QUAD_ABS_TOL * max(1, |value|).
+    """E[f(A - mean)] by the Gamma Gauss rule at 8, 16, 32, ... nodes, until
+    two successive estimates agree within QUAD_ABS_TOL * max(1, |value|).
 
     f maps an (n,) array of deviations A - mean to an (n, ...) array.
     Returns (value, difference of the last two estimates); a degenerate d is
@@ -344,7 +350,9 @@ def gauss_average(f, d: AreaDistribution):
         # as Python floats, an overflow is an inf and no numpy warning
         if not math.isfinite(d.mean + sd * float(y[-1])):
             raise ValueError(f"the Gauss rule's largest node overflows for {d}")
-        return np.tensordot(w, f(sd * y), axes=1)
+        vals = f(sd * y)
+        # one (n,) @ (n, m) product: bitwise tensordot's, without its overhead
+        return (w @ vals.reshape(n, -1)).reshape(vals.shape[1:])
 
     prev = estimate(_GAUSS_NODES[0])
     for n in _GAUSS_NODES[1:]:

@@ -234,27 +234,29 @@ def _kernel_statistic(kernel):
     pulse, of at most _MC_CHUNK samples.
 
     Each pulse builds only the rows of u that its codes use (the one-bit
-    kernel's codes are all 1).  Samples run along the last axis, where row
-    gathers and sums over rows are fast, and the work arrays are reused from
-    chunk to chunk: fresh ones of the two-bit size cost a page fault per
-    4 KB, most of the time otherwise.
+    kernel's codes are all 1), and each w_k is the product of its code's
+    nonzero factors in pulse order: the factors u[0] = 1 it skips would
+    multiply exactly, so the result is bitwise the full product.  The
+    all-zero code, the ideal gate, is not in a kernel, so every code has a
+    factor.  Samples run along the last axis, where sums over rows are fast,
+    and the work arrays are reused from chunk to chunk: fresh ones of the
+    two-bit size cost a page fault per 4 KB, most of the time otherwise.
     """
     nominal, codes, k = kernel
-    # per pulse, the rows its codes use and each code's index among them
-    # (not np.unique, whose first call raises peak RSS by about 0.7 MB)
-    used = [sorted(set(c.tolist())) for c in codes.T]
-    rows = [(u, np.searchsorted(u, c)) for u, c in zip(used, codes.T)]
-    w_all, g_all, y_all = (np.empty((m, _MC_CHUNK)) for m in (len(codes), len(codes), k.shape[1]))
+    # per code, its (pulse, row) factors; per pulse, the rows any code uses
+    factors = [[(p, int(r)) for p, r in enumerate(c) if r] for c in codes]
+    used = sorted({f for fs in factors for f in fs})
+    w_all, y_all = np.empty((len(codes), _MC_CHUNK)), np.empty((k.shape[1], _MC_CHUNK))
 
     def statistic(*areas):
         n = len(areas[0])
-        w, g, y = w_all[:, :n], g_all[:, :n], y_all[:, :n]
-        w.fill(1.0)
-        for a, a0, (used, c) in zip(areas, nominal, rows):
-            d = a - a0
-            u = np.stack([_U_ROWS[r](d) for r in used])
-            # mode="clip" (the codes are in range) lets take write into g unbuffered
-            w *= np.take(u, c, axis=0, out=g, mode="clip")
+        w, y = w_all[:, :n], y_all[:, :n]
+        d = [a - a0 for a, a0 in zip(areas, nominal)]
+        u = {(p, r): _U_ROWS[r](d[p]) for p, r in used}
+        for row, (first, *rest) in zip(w, factors):
+            np.copyto(row, u[first])
+            for f in rest:
+                row *= u[f]
         np.matmul(k.T, w, out=y)
         y *= y
         return y.sum(axis=0)

@@ -22,6 +22,7 @@ from decogate.decoherence import (
     quad_average,
     sample_area,
 )
+from decogate.fidelity import _U_ROWS
 from decogate.statemath import DensityMatrix
 
 # Gamma mass allowed outside a truncated integration window.
@@ -114,6 +115,47 @@ def test_quadratures_of_one_distribution_reuse_its_gauss_rules():
     assert quad_average(lambda a: math.cos(a / 2), dist) == first
     info = decoherence._gamma_rule.cache_info()
     assert built >= 2 and (info.misses, info.hits) == (built, built)
+
+
+def test_cached_gauss_rule_is_read_only():
+    for shape in (0.3, 31.4):
+        for array in decoherence._gamma_rule(shape, 8):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def _rotated(mean: float, s: float):
+    """cos and sin of s (mean + dev), by angle addition: no rounding of a
+    large mean + dev."""
+    c, sn = math.cos(s * mean), math.sin(s * mean)
+    return (lambda dev: c * np.cos(s * dev) - sn * np.sin(s * dev),
+            lambda dev: sn * np.cos(s * dev) + c * np.sin(s * dev))
+
+
+def test_gauss_average_does_not_stop_early():
+    # the ladder starts at 8 nodes: two coarse estimates that agree must
+    # also agree with the 512-node rule, over both branches of the rule and
+    # area spreads up to half a radian, for the Gauss moments' integrand
+    # and the pulse kernels'
+    def products(dev):
+        u = np.stack([row(dev) for row in _U_ROWS], axis=-1)
+        return u[:, :, None] * u[:, None, :]
+
+    bad = []
+    for shape in np.logspace(-3, 14, 35):
+        for sd in (1e-6, 1e-3, 0.1, 0.5):
+            scale = sd / math.sqrt(shape)
+            dist = AreaDistribution(t=shape * scale, tau=scale, omega_mean=1.0)
+            y, w = decoherence._gamma_rule(dist.shape, 512)
+            for f in (products, *_rotated(dist.mean, 1.0), *_rotated(dist.mean, 0.5)):
+                value, diff = gauss_average(f, dist)
+                vals = f(math.sqrt(dist.variance) * y)
+                ref = (w @ vals.reshape(512, -1)).reshape(vals.shape[1:])
+                top = max(1.0, float(np.max(np.abs(ref))))
+                if not (np.max(np.abs(value - ref)) <= 1e-11 * top
+                        and diff <= decoherence.QUAD_ABS_TOL * max(1.0, float(np.max(np.abs(value))))):
+                    bad.append((shape, sd, f))
+    assert bad == []
 
 
 def test_quad_average_raises_when_the_rule_does_not_converge():

@@ -500,7 +500,9 @@ def test_one_bit_kernel_matches_the_dense_per_sample_contraction(phi):
 
 
 def _all_rows_statistic(kernel, *areas):
-    """The kernel statistic with every row of u built for every pulse."""
+    """The kernel statistic in its gather form: every row of u built for
+    every pulse, and w_k the product over all pulses of the rows its code
+    picks, u[0] = 1 included."""
     nominal, codes, k = kernel
     w = 1.0
     for a, a0, c in zip(areas, nominal, codes.T):
@@ -519,10 +521,30 @@ def test_kernel_statistic_builds_only_the_rows_it_uses(gate):
         kernel = fidelity_mod._infidelity_kernel(
             ((carrier_parts(phi), 1.3),), one_bit_unitary(1.3, phi), (0, 1),
             ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
-    areas = [a0 + _random_deviations(rng, 300, -6, 0.5) for a0 in kernel[0]]
-    # the same products in the same order: bitwise equal
-    assert np.array_equal(fidelity_mod._kernel_statistic(kernel)(*areas),
-                          _all_rows_statistic(kernel, *areas))
+    statistic = fidelity_mod._kernel_statistic(kernel)
+    # a full Monte Carlo chunk, then a short one through the reused work arrays
+    for n in (fidelity_mod._MC_CHUNK, 300):
+        areas = [a0 + _random_deviations(rng, n, -6, 0.5) for a0 in kernel[0]]
+        # the same products in the same order: bitwise equal
+        assert np.array_equal(statistic(*areas), _all_rows_statistic(kernel, *areas))
+
+
+def test_two_bit_quadrature_stops_at_the_nodes_it_needs(monkeypatch):
+    # the oracle benchmark's noise levels: golden-ratio points over
+    # log Omega' tau in [1e-4, 1e-1]
+    rule, sizes = decoherence_mod._gamma_rule, []
+
+    def spy(k, n):
+        sizes.append(n)
+        return rule(k, n)
+
+    monkeypatch.setattr(decoherence_mod, "_gamma_rule", spy)
+    golden, top = (math.sqrt(5.0) - 1.0) / 2.0, []
+    for k in range(100):
+        sizes.clear()
+        quad_two_bit_tensor(ctx_at_op_tau(1e-4 * 1e3 ** ((k * golden) % 1.0)))
+        top.append(max(sizes))
+    assert max(top) <= 32 and top.count(16) >= 90
 
 
 def test_kernel_refuses_pulses_that_miss_the_ideal_gate():
