@@ -6,7 +6,8 @@ tau (area: Omega*tau).  Averaging unitary evolution over that distribution
 decays off-diagonal density-matrix elements in the energy basis while leaving
 populations untouched.  This module provides the one distribution,
 `AreaDistribution` (the time itself at omega_mean = 1), its sampling, the
-decay/shift rates, the averaged phase factor, the characteristic function of
+decay/shift rates and their unit-time exponent per energy gap
+(`gap_exponents`), the averaged phase factor, the characteristic function of
 the deviation from the mean (`deviation_char`), the closed-form pulse-average
 kernels, and the two oracles that cross-check every closed form: one chunked
 Monte Carlo loop (`_mc_moments`, `mc_average`) and one Gauss rule for the
@@ -15,7 +16,9 @@ Gamma weight (`gauss_average`, `quad_average`), whose node count doubles from
 once whether it is the delta at its mean (`degenerate`); both oracles read
 that.  The Gauss rule is built from the Gamma's three-term recurrence alone
 (Golub-Welsch), not its pdf or characteristic function, so it is independent
-of the closed forms; it hands f each node's deviation A - mean, not A."""
+of the closed forms.  Both oracles hand f the deviation A - mean, not A: the
+Gauss rule at each node, Monte Carlo per draw (from the normal limit above
+shape 2**54, where the mean's rounding would swamp the spread)."""
 
 from __future__ import annotations
 
@@ -212,25 +215,38 @@ def averaged_phase_factor(omega: float, t: float, tau: float) -> complex:
     return complex(np.exp(log_modulus + 1j * angle))
 
 
+def gap_exponents(gaps: np.ndarray, tau: float) -> np.ndarray:
+    """The unit-time exponent z = -gamma - i nu of each energy gap omega =
+    E_n - E_m in the square array gaps (decay_rates), from one gamma_char
+    call: the averaged factor E[e^{-i omega t'}] at time t is e^{t z}.  The
+    diagonal is exactly 0, so populations keep a factor of exactly 1."""
+    log_modulus, angle = gamma_char(-gaps, 1.0, tau)
+    z = log_modulus + 1j * angle
+    np.fill_diagonal(z, 0.0)
+    return z
+
+
 def evolve_energy_basis(
     rho0: DensityMatrix, energies, t: float, tau: float
 ) -> DensityMatrix:
     """Averaged evolution in the energy eigenbasis.
 
     rho_{n,m}(t) = e^{-gamma_{n,m} t} e^{-i nu_{n,m} t} rho_{n,m}(0) with
-    omega_{n,m} = E_n - E_m.  Diagonal elements are preserved bitwise (the
-    factor is exactly 1 at omega = 0).
+    omega_{n,m} = E_n - E_m (gap_exponents).  Diagonal elements are preserved
+    bitwise.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (rho0.dim,):
         raise ValueError(
             f"energies length {energies.shape} does not match dimension {rho0.dim}"
         )
-    log_modulus, angle = gamma_char(energies[None, :] - energies[:, None], t, tau)
-    factors = np.exp(log_modulus + 1j * angle)
-    # exact 1 on the diagonal regardless of rounding in the general expression
-    np.fill_diagonal(factors, 1.0)
-    return DensityMatrix(rho0.matrix * factors, basis=rho0.basis)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    gaps = energies[:, None] - energies[None, :]
+    z = gap_exponents(gaps, tau)
+    # |z| <= |omega|, so a finite omega t keeps t z finite
+    _check_products(gaps, t)
+    return DensityMatrix(rho0.matrix * np.exp(t * z), basis=rho0.basis)
 
 
 @dataclass(frozen=True)
@@ -265,12 +281,27 @@ def kernel_integrals(t: float, omega_prime: float, tau) -> KernelValues:
 MIN_MC_SAMPLES = 1000
 # Samples drawn and reduced at a time; bounds working memory, not the result.
 _MC_CHUNK = 4096
+# Above this shape the area's deviation is drawn from its normal limit.
+_NORMAL_SHAPE = 2.0**54
+
+
+def _sample_deviation(d: AreaDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of the deviation A - mean of the area: 0 at a degenerate d, the
+    Gamma draw less the mean up to shape 2**54, the normal limit above it.
+    There the standardised Gamma's skewness 2/sqrt(k) is at most 1.5e-8,
+    while subtracting the mean would quantise the deviations to eps sqrt(k)
+    standard deviations."""
+    if d.degenerate:
+        return np.zeros(n)
+    if d.shape > _NORMAL_SHAPE:
+        return math.sqrt(d.variance) * rng.standard_normal(n)
+    return sample_area(d, rng, n) - d.mean
 
 
 def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | None):
-    """Mean and standard error of statistic(*areas), an (n, ...) array, over
-    exactly n_samples draws of one area from each distribution in dists
-    (a degenerate distribution is the delta at its mean).
+    """Mean and standard error of statistic(*deviations), an (n, ...) array,
+    over exactly n_samples draws of one area deviation A - mean from each
+    distribution in dists (`_sample_deviation`), as `gauss_average` hands f.
 
     Chunk means and centred sums of squares are merged with Chan's formula,
     which unlike a raw sum of squares stays accurate when the statistic
@@ -282,8 +313,7 @@ def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | Non
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n_samples, _MC_CHUNK):
         n = min(_MC_CHUNK, n_samples - start)
-        areas = [np.full(n, d.mean) if d.degenerate else sample_area(d, rng, n) for d in dists]
-        x = statistic(*areas)
+        x = statistic(*(_sample_deviation(d, rng, n) for d in dists))
         x_mean = x.mean(axis=0)
         delta, share = x_mean - mean, n / (count + n)
         m2 = m2 + (np.abs(x - x_mean) ** 2).sum(axis=0) + np.abs(delta) ** 2 * count * share
@@ -296,7 +326,7 @@ def mc_average(f, d: AreaDistribution, n: int, rng: np.random.Generator):
     """Sample mean and standard error of f(A) over exactly n draws of the
     area, n >= MIN_MC_SAMPLES; f maps an (n,) array of areas to an (n,)
     array.  At a degenerate d every sample is f at the mean."""
-    mean, stderr = _mc_moments((d,), f, n, rng)
+    mean, stderr = _mc_moments((d,), lambda dev: f(d.mean + dev), n, rng)
     return float(mean), float(stderr)
 
 

@@ -229,9 +229,10 @@ _U_ROWS = (np.ones_like, lambda d: np.sin(0.5 * d), lambda d: 2 * np.sin(0.25 * 
 
 
 def _kernel_statistic(kernel):
-    """statistic(*areas) for _mc_moments: the per-sample 1 - F_n =
-    ||w(A_n - A0) @ K||^2 for kernel = (A0, codes, K) and one area array per
-    pulse, of at most _MC_CHUNK samples.
+    """statistic(*deviations) for _mc_moments: the per-sample 1 - F_n =
+    ||w(delta_n) @ K||^2 for kernel = (A0, codes, K) and one array per pulse
+    of its area's deviations delta from their mean, the nominal area, of at
+    most _MC_CHUNK samples.
 
     Each pulse builds only the rows of u that its codes use (the one-bit
     kernel's codes are all 1), and each w_k is the product of its code's
@@ -242,16 +243,15 @@ def _kernel_statistic(kernel):
     and the work arrays are reused from chunk to chunk: fresh ones of the
     two-bit size cost a page fault per 4 KB, most of the time otherwise.
     """
-    nominal, codes, k = kernel
+    _, codes, k = kernel
     # per code, its (pulse, row) factors; per pulse, the rows any code uses
     factors = [[(p, int(r)) for p, r in enumerate(c) if r] for c in codes]
     used = sorted({f for fs in factors for f in fs})
     w_all, y_all = np.empty((len(codes), _MC_CHUNK)), np.empty((k.shape[1], _MC_CHUNK))
 
-    def statistic(*areas):
-        n = len(areas[0])
+    def statistic(*d):
+        n = len(d[0])
         w, y = w_all[:, :n], y_all[:, :n]
-        d = [a - a0 for a, a0 in zip(areas, nominal)]
         u = {(p, r): _U_ROWS[r](d[p]) for p, r in used}
         for row, (first, *rest) in zip(w, factors):
             np.copyto(row, u[first])
@@ -265,10 +265,9 @@ def _kernel_statistic(kernel):
 
 
 class _Gate(NamedTuple):
-    """A gate for _infidelity: its pulses' nominal areas, the cached function
-    that builds its kernel, and its pulses' Rabi frequency and durations."""
+    """A gate for _infidelity: the cached function that builds its kernel,
+    and its pulses' Rabi frequency and durations."""
 
-    nominal: tuple
     kernel_of: object
     omega: float
     times: tuple
@@ -320,8 +319,7 @@ def _infidelity(gate: _Gate, tau, method: Method, n_samples: int = 1_000_000,
         # the distributions first: they name an overflowing nominal area or scale
         dists = tuple(AreaDistribution(t, tau, gate.omega) for t in gate.times)
         if method is Method.MONTE_CARLO:
-            _, codes, k = gate.kernel_of()
-            return _mc_moments(dists, _kernel_statistic((gate.nominal, codes, k)), n_samples, rng)
+            return _mc_moments(dists, _kernel_statistic(gate.kernel_of()), n_samples, rng)
         moments = _gauss_moments(dists)
     return _contract_moments(_infidelity_pairs(gate.kernel_of), moments), 0.0
 
@@ -384,7 +382,7 @@ def _one_bit_kernel():
 
 def _one_bit_gate(t: float, ctx: GateContext) -> _Gate:
     """The carrier rotation of nominal time t."""
-    return _Gate((ctx.omega * t,), _one_bit_kernel, ctx.omega, (t,))
+    return _Gate(_one_bit_kernel, ctx.omega, (t,))
 
 
 def fidelity_one_bit(
@@ -431,8 +429,7 @@ def _two_bit_kernel():
 def _two_bit_gate(ctx: GateContext) -> _Gate:
     """The three pulses (nominal areas pi, 2pi, pi) at Omega'."""
     wp = ctx.omega_prime
-    return _Gate(tuple(a0 for _, a0 in _TWO_BIT_PULSES), _two_bit_kernel, wp,
-                 tuple(a0 / wp for _, a0 in _TWO_BIT_PULSES))
+    return _Gate(_two_bit_kernel, wp, tuple(a0 / wp for _, a0 in _TWO_BIT_PULSES))
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
@@ -473,11 +470,13 @@ def mc_two_bit_tensor(
     """Monte Carlo tensor F[i', i, j', j] = E[amp[i, j'] conj(amp[i', j])]
     and its per-element standard errors."""
 
-    def products(*areas):
-        amp = _table_amp(_TWO_BIT_TABLE, *areas)
+    dists = pulse_distributions(ctx)
+
+    def products(*deviations):
+        amp = _table_amp(_TWO_BIT_TABLE, *(d.mean + dev for d, dev in zip(dists, deviations)))
         return amp[:, None, :, :, None] * amp.conj()[:, :, None, None, :]  # [n, i', i, j', j]
 
-    mean, stderr = _mc_moments(pulse_distributions(ctx), products, n_samples, rng)
+    mean, stderr = _mc_moments(dists, products, n_samples, rng)
     return FidelityTensor.full(mean), stderr
 
 

@@ -207,6 +207,16 @@ def test_fidelity_mc_at_a_subnormal_tau_is_the_delta_limit(capsys, gate):
     assert (doc["one_minus_fidelity"], doc["stderr"]) == (0.0, 0.0)
 
 
+def test_fidelity_mc_at_a_huge_shape_draws_resolved_deviations(capsys):
+    # t/tau = 1e308: the deviations spread over many turns, so 1 - F is 3/8;
+    # drawn as a Gamma area less its mean, they were multiples of its ulp
+    code, out = run(capsys, "fidelity", "--gate", "one-bit", "--time", "1e300",
+                    "--method", "mc", "--samples", "1000")
+    assert code == 0
+    doc = strict_json(out)
+    assert abs(doc["one_minus_fidelity"] - 0.375) <= 5 * doc["stderr"]
+
+
 @pytest.mark.parametrize("gate", [["one-bit", "--rotation", "pi"], ["two-bit"]])
 def test_fidelity_mc_at_an_overflowing_tau_is_usage_error(capsys, gate):
     # the area distribution's scale omega*tau overflows

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import decogate.decoherence as decoherence_mod
+import decogate.dynamics as dynamics_mod
 from decogate.decoherence import averaged_phase_factor
 from decogate.dynamics import (
     HamiltonianSpec,
@@ -210,3 +213,98 @@ def test_commuting_initial_state_is_stationary():
     approx = me2_integrate(H_RABI, rho0, t, 1e-7)
     assert trace_distance(exact.matrix, rho0.matrix) < 1e-12
     assert trace_distance(approx.matrix, rho0.matrix) < 1e-10
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda h, rho: exact_map(h, rho, 1e-5, 1e-8),
+    lambda h, rho: me2_integrate(h, rho, 1e-5, 1e-8),
+    lambda h, rho: compare_evolutions(h, rho, [1e-5, 2e-5], 1e-8),
+], ids=["exact_map", "me2_integrate", "compare_evolutions"])
+def test_state_of_another_dimension_is_rejected(evolve):
+    with pytest.raises(ValueError, match="dimension 3 does not match the Hamiltonian's 2"):
+        evolve(H_RABI, DensityMatrix(np.eye(3, dtype=complex) / 3))
+
+
+@pytest.mark.parametrize("tau_norm", [0.0, "subnormal", 1e-4, 1e-1])
+@pytest.mark.parametrize("dim", [1, 2, 6, 18])
+def test_compare_evolutions_equals_the_per_time_path(dim, tau_norm):
+    h = random_hamiltonian(dim, OMEGA, seed=30 + dim)
+    rho0 = random_state(dim, seed=40 + dim)
+    tau = 5e-324 if tau_norm == "subnormal" else tau_norm / h.spectral_norm
+    t_grid = list(np.linspace(0.2, 5.0, 13) / h.spectral_norm)
+    cmp = compare_evolutions(h, rho0, t_grid, tau)
+    off = ~np.eye(dim, dtype=bool)
+    for t, dist, off_err in zip(t_grid, cmp.trace_distance, cmp.max_offdiag_error):
+        exact, approx = exact_map(h, rho0, t, tau).matrix, me2_integrate(h, rho0, t, tau).matrix
+        assert abs(dist - trace_distance(exact, approx)) <= 1e-13
+        assert abs(off_err - np.abs(exact - approx)[off].max(initial=0.0)) <= 1e-13
+    assert cmp.times == t_grid
+
+
+def test_compare_evolutions_rejects_a_nested_grid():
+    with pytest.raises(ValueError, match="sequence of times"):
+        compare_evolutions(H_RABI, RHO_G, [[1e-6, 2e-6]], 1e-8)
+
+
+def test_compare_evolutions_on_an_empty_grid():
+    cmp = compare_evolutions(H_RABI, RHO_G, [], 1e-8)
+    assert (cmp.times, cmp.trace_distance, cmp.max_offdiag_error) == ([], [], [])
+
+
+def test_compare_evolutions_blocks_are_independent():
+    dim = 18
+    block = dynamics_mod._GRID_BLOCK_ENTRIES // dim**2
+    h, rho0 = random_hamiltonian(dim, OMEGA, seed=7), random_state(dim, seed=8)
+    t_grid = list(np.linspace(0.01, 5.0, block + block // 2 + 1) / OMEGA)
+    half = len(t_grid) // 2
+    whole = compare_evolutions(h, rho0, t_grid, 1e-2 / OMEGA)
+    parts = [compare_evolutions(h, rho0, part, 1e-2 / OMEGA) for part in (t_grid[:half], t_grid[half:])]
+    for field in ("trace_distance", "max_offdiag_error"):
+        joined = getattr(parts[0], field) + getattr(parts[1], field)
+        assert np.allclose(getattr(whole, field), joined, rtol=0, atol=1e-15)
+
+
+def test_trace_distance_of_a_stack_is_per_matrix():
+    a = np.array([random_state(5, seed).matrix for seed in range(4)])
+    b = a[[2, 0, 3, 1]]
+    stacked = trace_distance(a, b)
+    assert stacked.shape == (4,)
+    assert np.array_equal(stacked, [trace_distance(x, y) for x, y in zip(a, b)])
+
+
+def test_compare_evolutions_takes_one_pass_per_grid(monkeypatch):
+    h, rho0 = random_hamiltonian(6, OMEGA, seed=2), random_state(6, seed=3)
+    calls = {"gamma_char": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(decoherence_mod, "gamma_char", counting("gamma_char", decoherence_mod.gamma_char))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    cmp = compare_evolutions(h, rho0, list(np.linspace(0.5, 5.0, 10) / OMEGA), 1e-2 / OMEGA)
+    assert len(cmp.trace_distance) == 10
+    assert calls == {"gamma_char": 1, "eigvalsh": 1}
+
+
+def test_compare_evolutions_memory_does_not_grow_with_the_grid():
+    # an unblocked (20000, 18, 18) complex stack is 104 MB
+    h, rho0 = random_hamiltonian(18, OMEGA, seed=5), random_state(18, seed=6)
+    t_grid = np.linspace(0.01, 5.0, 20_000) / OMEGA
+    tracemalloc.start()
+    try:
+        cmp = compare_evolutions(h, rho0, t_grid, 1e-2 / OMEGA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cmp.trace_distance) == 20_000
+    assert peak < 32 * 2**20

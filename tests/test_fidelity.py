@@ -420,13 +420,22 @@ def test_mc_delta_limit_is_exact():
         assert res.stderr < 1e-12
 
 
+def test_one_bit_mc_resolves_deviations_below_the_ulp_of_the_mean():
+    # Omega tau = 1e-30: the area's spread, 1.8e-15, is about 4 ulp of its
+    # mean pi, so subtracting the mean from a Gamma draw quantised it
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-35)
+    mc = fidelity_one_bit(T_PI, ctx, Method.MONTE_CARLO, 20_000, np.random.default_rng(0))
+    exact = fidelity_one_bit(T_PI, ctx).one_minus_f
+    assert abs(mc.one_minus_f - exact) <= 5 * mc.stderr
+
+
 def test_mc_moments_merge_without_cancellation():
-    # F_n = 1 - 1e-9 A_n: a raw sum of F^2 would lose the whole variance
+    # F_n = 1 - 1e-9 (A_n - mean): a raw sum of F^2 would lose the whole variance
     dist = AreaDistribution(T_PI, CTX.tau, CTX.omega)
     n = 3 * decoherence_mod._MC_CHUNK + 17
     mean, stderr = decoherence_mod._mc_moments(
-        (dist,), lambda a: 1.0 - 1e-9 * a, n, np.random.default_rng(5))
-    direct = 1.0 - 1e-9 * sample_area(dist, np.random.default_rng(5), n)
+        (dist,), lambda dev: 1.0 - 1e-9 * dev, n, np.random.default_rng(5))
+    direct = 1.0 - 1e-9 * (sample_area(dist, np.random.default_rng(5), n) - dist.mean)
     assert mean == pytest.approx(direct.mean(), abs=1e-15)
     assert stderr == pytest.approx(direct.std(ddof=1) / math.sqrt(n), rel=1e-6, abs=0)
 
@@ -476,7 +485,8 @@ def _random_deviations(rng, n, low, high):
 def test_two_bit_kernel_matches_the_dense_per_sample_contraction(seed):
     rng = np.random.default_rng(seed)
     areas = [step.nominal_area + _random_deviations(rng, 400, -4, 0.5) for step in UNIVERSAL_SEQUENCE]
-    got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(*areas)
+    got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(
+        *(a - step.nominal_area for a, step in zip(areas, UNIVERSAL_SEQUENCE)))
     want = _per_sample_infidelity(_dense_two_bit_amp(*areas), TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
     _assert_kernel_matches_dense(got, want)
     # 16 of the 26 deviation terms reach 8 real columns
@@ -491,7 +501,7 @@ def test_one_bit_kernel_matches_the_dense_per_sample_contraction(phi):
     kernel = fidelity_mod._infidelity_kernel(
         ((carrier_parts(phi), a0),), ideal, (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
     areas = a0 + _random_deviations(rng, 400, -4, 0.5)
-    got = fidelity_mod._kernel_statistic(kernel)(areas)
+    got = fidelity_mod._kernel_statistic(kernel)(areas - a0)
     amp = np.array([(ideal.conj().T @ one_bit_unitary(a, phi)).T for a in areas])
     _assert_kernel_matches_dense(got, _per_sample_infidelity(amp, ONE_BIT_W_DIAG, ONE_BIT_W_OFF))
     # one term, sin(delta/2) b, so 1 - F_n = (3/4) sin^2(delta/2) for any phi
@@ -525,8 +535,9 @@ def test_kernel_statistic_builds_only_the_rows_it_uses(gate):
     # a full Monte Carlo chunk, then a short one through the reused work arrays
     for n in (fidelity_mod._MC_CHUNK, 300):
         areas = [a0 + _random_deviations(rng, n, -6, 0.5) for a0 in kernel[0]]
+        deviations = [a - a0 for a, a0 in zip(areas, kernel[0])]
         # the same products in the same order: bitwise equal
-        assert np.array_equal(statistic(*areas), _all_rows_statistic(kernel, *areas))
+        assert np.array_equal(statistic(*deviations), _all_rows_statistic(kernel, *areas))
 
 
 def test_two_bit_quadrature_stops_at_the_nodes_it_needs(monkeypatch):

@@ -118,5 +118,6 @@ def test_two_bit_kernel_matches_mpmath_dense_product(seed):
     exponents = rng.uniform(-9.7, -1, 1) + rng.uniform(-0.3, 0, 3) if seed % 2 else rng.uniform(-10, -1, 3)
     deviations = rng.choice([-1.0, 1.0], 3) * 10**exponents
     areas = [step.nominal_area + d for step, d in zip(UNIVERSAL_SEQUENCE, deviations)]
-    got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(*(np.array([a]) for a in areas))
+    got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(
+        *(np.array([a - step.nominal_area]) for a, step in zip(areas, UNIVERSAL_SEQUENCE)))
     assert _rel_err(float(got[0]), two_bit_sample_infidelity_mp(areas)) <= 1e-12

@@ -113,15 +113,34 @@ def test_evolve_energy_basis(omega, t, tau):
     finite_or_value_error(lambda: evolve_energy_basis(rho0, [0.0, omega, -omega], t, tau).matrix)
 
 
+def symmetric(dim, entries):
+    """The real symmetric matrix whose upper triangle, row by row, is entries."""
+    h = np.zeros((dim, dim))
+    h[np.triu_indices(dim)] = entries
+    return h + np.triu(h, 1).T
+
+
+SYMMETRIC = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(FINITE, min_size=dim * (dim + 1) // 2, max_size=dim * (dim + 1) // 2)
+    .map(lambda entries: symmetric(dim, entries)))
+
+
+# any list of times, or the evolve CLI's grid: n equal steps up to a time
+GRID = st.one_of(
+    st.lists(FINITE, max_size=30),
+    st.builds(lambda t, n: list(np.linspace(t / max(n, 1), t, n)),
+              st.floats(min_value=0.0, max_value=1e300, exclude_min=True), st.integers(0, 30)))
+
+
 @PROPERTY
-@given(detuning=FINITE, rabi=FINITE, tau=TAU, times=st.lists(FINITE, min_size=1, max_size=3))
-def test_compare_evolutions(detuning, rabi, tau, times):
-    # a driven two-level H; times in any order, sign or size
-    rho0 = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+@given(h=SYMMETRIC, tau=TAU, times=GRID)
+def test_compare_evolutions(h, tau, times):
+    # a real symmetric H of dimension 1 to 4 and grids of up to 30 times
+    rho0 = np.zeros(h.shape, dtype=complex)
+    rho0[0, 0] = 1.0
 
     def distances():
-        h = HamiltonianSpec(np.array([[detuning, rabi], [rabi, -detuning]]))
-        cmp = compare_evolutions(h, rho0, times, tau)
+        cmp = compare_evolutions(HamiltonianSpec(h), DensityMatrix(rho0), times, tau)
         return cmp.trace_distance + cmp.max_offdiag_error
 
     finite_or_value_error(distances)
