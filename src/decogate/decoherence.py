@@ -305,7 +305,11 @@ def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | Non
 
     Chunk means and centred sums of squares are merged with Chan's formula,
     which unlike a raw sum of squares stays accurate when the statistic
-    barely varies (F near 1).  Complex spreads add in quadrature.
+    barely varies (F near 1).  Complex spreads add in quadrature.  The
+    squares are summed in units of a per-run scale, a power of two at or
+    above the first chunk's largest |statistic| (1 where that is 0): exact,
+    so it changes no bit of a spread whose squares are normal floats, and a
+    statistic of 1e-300 keeps its spread instead of squaring it to 0.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples, got {n_samples}")
@@ -316,10 +320,16 @@ def _mc_moments(dists, statistic, n_samples: int, rng: np.random.Generator | Non
         x = statistic(*(_sample_deviation(d, rng, n) for d in dists))
         x_mean = x.mean(axis=0)
         delta, share = x_mean - mean, n / (count + n)
-        m2 = m2 + (np.abs(x - x_mean) ** 2).sum(axis=0) + np.abs(delta) ** 2 * count * share
+        dev = np.abs(x - x_mean)
+        if not count:
+            top = np.abs(x_mean) + dev.max(axis=0)
+            scale = np.ldexp(1.0, np.frexp(np.where(top > 0, top, 1.0))[1])
+        dev /= scale
+        dev *= dev
+        m2 = m2 + dev.sum(axis=0) + np.abs(delta / scale) ** 2 * count * share
         mean = mean + delta * share
         count += n
-    return mean, np.sqrt(m2 / ((count - 1) * count))
+    return mean, scale * np.sqrt(m2 / ((count - 1) * count))
 
 
 def mc_average(f, d: AreaDistribution, n: int, rng: np.random.Generator):

@@ -13,11 +13,14 @@ table in the area deviations delta = A - A0, with v replaced by u(delta) =
 (1, sin(delta/2), 2 sin^2(delta/4)); its all-zero code term is the ideal
 gate, and by unitarity 1 - F_n is a sum of squares of the remaining terms,
 ||w(delta) @ K||^2 for one real kernel K per gate (`_infidelity_kernel`).
+Both rows of u past the first come from one tan(delta/4) (`_u`).
 
 Both gates run one estimator (`_infidelity`) on their kernel.  Monte Carlo
 averages the per-sample 1 - F_n, not F_n, so a 1 - F far below the rounding
-of F = 1 is still resolved.  The closed form and the quadrature oracle
-average the same sum: with independent areas, E[w_k w_l] = prod_p
+of F = 1 is still resolved; it reads ||w(delta) @ L||^2 for a factor L of
+K K^T on K's rank, 5 columns for the two-bit K's 8.  The closed form and
+the quadrature oracle average the same sum: with independent areas,
+E[w_k w_l] = prod_p
 M_p[codes[k, p], codes[l, p]] for one moment matrix M_p = E[u u^T] per
 pulse, so 1 - F is the average of (K K^T)[k, l], and the two-bit tensor that
 of T[k] conj(T[l]) (`_contract_moments`).  The two differ only in M_p:
@@ -159,9 +162,35 @@ def _table_amp(table, *areas) -> np.ndarray:
 _ROUNDING = 1e-12
 
 
-def _infidelity_kernel(pulses, ideal: np.ndarray, logical, w_diag: float, w_off: float):
-    """(nominal areas, codes, K) with 1 - F_n = ||w(delta_n) @ K||^2 for the
-    gate whose pulses are the (parts, nominal area) pairs in `pulses`.
+class _Kernel(NamedTuple):
+    """A gate's kernel: 1 - F_n = ||w(delta_n) @ k||^2 = ||w(delta_n) @
+    factor||^2, w_k = prod_p u(delta_p)[codes[k, p]]."""
+
+    codes: np.ndarray
+    k: np.ndarray
+    # factor factor^T = k k^T, on as many columns as k's rank
+    factor: np.ndarray
+
+
+def _rank_factor(k: np.ndarray) -> np.ndarray:
+    """L = K Q for an orthonormal basis Q of K's rows, by Gram-Schmidt (each
+    row projected out twice), so L L^T = K K^T on rank(K) columns; entries
+    as small as the rounding are 0, as in K."""
+    q = np.empty((0, k.shape[1]))
+    for row in k:
+        for _ in range(2):
+            row = row - (row @ q.T) @ q
+        norm = math.sqrt(row @ row)
+        if norm > _ROUNDING:
+            q = np.vstack([q, row / norm])
+    factor = k @ q.T
+    factor[np.abs(factor) <= _ROUNDING] = 0.0
+    return factor
+
+
+def _infidelity_kernel(pulses, ideal: np.ndarray, logical, w_diag: float, w_off: float) -> _Kernel:
+    """The kernel of the gate whose pulses are the (parts, nominal area)
+    pairs in `pulses`: 1 - F_n = ||w(delta_n) @ K||^2.
 
     Each pulse's parts are rebased to its nominal area A0, U(A0 + delta) =
     (q + c0 r + s0 b) + sin(delta/2) (c0 b - s0 r) - 2 sin^2(delta/4) (c0 r +
@@ -191,7 +220,8 @@ def _infidelity_kernel(pulses, ideal: np.ndarray, logical, w_diag: float, w_off:
     k = np.concatenate([terms.real, terms.imag], axis=1)
     k[np.abs(k) <= _ROUNDING] = 0.0
     rows = k.any(axis=1)
-    return tuple(a0 for _, a0 in pulses), codes[rows], k[rows][:, k.any(axis=0)]
+    k = k[rows][:, k.any(axis=0)]
+    return _Kernel(codes[rows], k, _rank_factor(k))
 
 
 def _moment_pairs(codes, weights):
@@ -224,40 +254,62 @@ def _contract_moments(pairs, moments):
 # One estimator for both gates
 # --------------------------------------------------------------------------
 
-# Each row of u(delta) = (1, sin(delta/2), 2 sin^2(delta/4)), by code.
-_U_ROWS = (np.ones_like, lambda d: np.sin(0.5 * d), lambda d: 2 * np.sin(0.25 * d) ** 2)
+def _u(d, out=None):
+    """Rows 1 and 2 of u(d) = (1, sin(d/2), 2 sin^2(d/4)), written to out
+    (two arrays like d) if given, from one t = tan(d/4) per deviation:
+    sin(d/2) = 2t / (1 + t^2) and 2 sin^2(d/4) = t sin(d/2).  Both are
+    exactly 0 at d = 0, and t^2 cannot overflow: no float d/4 lies within
+    1e-154 of an odd multiple of pi/2."""
+    s, v = (np.empty_like(d), np.empty_like(d)) if out is None else out
+    t = np.tan(0.25 * d)
+    np.multiply(t, t, out=v)
+    v += 1.0
+    np.divide(t, v, out=s)
+    s *= 2.0
+    np.multiply(t, s, out=v)
+    return s, v
 
 
-def _kernel_statistic(kernel):
+def _kernel_statistic(kernel: _Kernel):
     """statistic(*deviations) for _mc_moments: the per-sample 1 - F_n =
-    ||w(delta_n) @ K||^2 for kernel = (A0, codes, K) and one array per pulse
+    ||w(delta_n) @ L||^2 for the kernel's factor L and one array per pulse
     of its area's deviations delta from their mean, the nominal area, of at
     most _MC_CHUNK samples.
 
-    Each pulse builds only the rows of u that its codes use (the one-bit
-    kernel's codes are all 1), and each w_k is the product of its code's
-    nonzero factors in pulse order: the factors u[0] = 1 it skips would
-    multiply exactly, so the result is bitwise the full product.  The
-    all-zero code, the ideal gate, is not in a kernel, so every code has a
-    factor.  Samples run along the last axis, where sums over rows are fast,
-    and the work arrays are reused from chunk to chunk: fresh ones of the
-    two-bit size cost a page fault per 4 KB, most of the time otherwise.
+    Each pulse that any code uses takes one tangent per sample (`_u`), and
+    each w_k of two or more factors is the row of its code without the last
+    factor times that factor's row: the product of its code's nonzero
+    factors in pulse order.  The factors u[0] = 1 it skips would multiply
+    exactly, so the result is bitwise the full product.  A row the kernel
+    lacks (a u row or a partial product no code is) gets a zero column of
+    L^T.  The all-zero code, the ideal gate, is not in a kernel, so every
+    code has a factor.  Samples run along the last axis, where sums over
+    rows are fast, and the work arrays are reused from chunk to chunk: fresh
+    ones of the two-bit size cost a page fault per 4 KB, most of the time
+    otherwise.
     """
-    _, codes, k = kernel
-    # per code, its (pulse, row) factors; per pulse, the rows any code uses
-    factors = [[(p, int(r)) for p, r in enumerate(c) if r] for c in codes]
-    used = sorted({f for fs in factors for f in fs})
-    w_all, y_all = np.empty((len(codes), _MC_CHUNK)), np.empty((k.shape[1], _MC_CHUNK))
+    codes, _, factor = kernel
+    # the row of w for each code, as its (pulse, u row) factors in pulse order
+    index = {tuple((p, int(r)) for p, r in enumerate(c) if r): i for i, c in enumerate(codes)}
+
+    def row(fs):
+        return index.setdefault(fs, len(index))
+
+    u_rows = [(p, row(((p, 1),)), row(((p, 2),))) for p in sorted({p for fs in index for p, _ in fs})]
+    products = list(dict.fromkeys((row(fs[:j]), row(fs[:j - 1]), row(fs[j - 1:j]))
+                                  for fs in list(index) for j in range(2, len(fs) + 1)))
+    lt = np.zeros((factor.shape[1], len(index)))
+    lt[:, :len(codes)] = factor.T
+    w_all, y_all = np.empty((len(index), _MC_CHUNK)), np.empty((len(lt), _MC_CHUNK))
 
     def statistic(*d):
         n = len(d[0])
         w, y = w_all[:, :n], y_all[:, :n]
-        u = {(p, r): _U_ROWS[r](d[p]) for p, r in used}
-        for row, (first, *rest) in zip(w, factors):
-            np.copyto(row, u[first])
-            for f in rest:
-                row *= u[f]
-        np.matmul(k.T, w, out=y)
+        for p, s, v in u_rows:
+            _u(d[p], out=(w[s], w[v]))
+        for target, head, last in products:
+            np.multiply(w[head], w[last], out=w[target])
+        np.matmul(lt, w, out=y)
         y *= y
         return y.sum(axis=0)
 
@@ -276,7 +328,7 @@ class _Gate(NamedTuple):
 @functools.cache
 def _infidelity_pairs(kernel_of):
     """K K^T of kernel_of()'s kernel as moment pairs: 1 - F = sum G (K K^T)."""
-    _, codes, k = kernel_of()
+    codes, k, _ = kernel_of()
     return _moment_pairs(codes, k @ k.T)
 
 
@@ -302,7 +354,7 @@ def _gauss_moments(dists) -> list:
     """Per pulse distribution, E[u(delta) u(delta)^T] by the Gauss rule on
     the deviation from the mean, once per distinct distribution."""
     def products(dev):
-        u = np.stack([row(dev) for row in _U_ROWS], axis=-1)
+        u = np.stack([np.ones_like(dev), *_u(dev)], axis=-1)
         return u[:, :, None] * u[:, None, :]
     moments = {d: gauss_average(products, d)[0] for d in set(dists)}
     return [moments[d] for d in dists]
@@ -420,8 +472,10 @@ _TWO_BIT_KNOWN = np.einsum("ab,cd->abcd", *[np.eye(4)] * 2) + np.einsum("ad,bc->
 
 @functools.cache
 def _two_bit_kernel():
-    """The two-bit gate's Monte Carlo kernel, 16 of its 26 deviation terms
-    on 8 real columns; built on first use, so importing costs nothing."""
+    """The two-bit gate's kernel, 16 of its 26 deviation terms on 8 real
+    columns of rank 5 (two pairs of equal columns, and a fifth the
+    difference of two others), so its factor has 5; built on first use, so
+    importing costs nothing."""
     return _infidelity_kernel(_TWO_BIT_PULSES, ideal_two_bit_gate(), LOGICAL_INDICES,
                               TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
 

@@ -22,7 +22,7 @@ from decogate.decoherence import (
     quad_average,
     sample_area,
 )
-from decogate.fidelity import _U_ROWS
+from decogate.fidelity import _u
 from decogate.statemath import DensityMatrix
 
 # Gamma mass allowed outside a truncated integration window.
@@ -138,7 +138,7 @@ def test_gauss_average_does_not_stop_early():
     # area spreads up to half a radian, for the Gauss moments' integrand
     # and the pulse kernels'
     def products(dev):
-        u = np.stack([row(dev) for row in _U_ROWS], axis=-1)
+        u = np.stack([np.ones_like(dev), *_u(dev)], axis=-1)
         return u[:, :, None] * u[:, None, :]
 
     bad = []

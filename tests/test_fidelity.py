@@ -302,7 +302,7 @@ def test_moment_contraction_matches_the_dense_sum(weights):
     # sum_kl G[k,l] W[k,l], G[k,l] = prod_p M_p[codes[k,p], codes[l,p]], for
     # random symmetric M_p: the sum over moment pairs against the dense one
     if weights == "kernel":
-        _, codes, k = fidelity_mod._two_bit_kernel()
+        codes, k, _ = fidelity_mod._two_bit_kernel()
         w = k @ k.T
     else:
         codes, t = fidelity_mod._TWO_BIT_TABLE
@@ -429,6 +429,38 @@ def test_one_bit_mc_resolves_deviations_below_the_ulp_of_the_mean():
     assert abs(mc.one_minus_f - exact) <= 5 * mc.stderr
 
 
+@pytest.mark.parametrize("tau", [1e-200, 1e-300])
+@pytest.mark.parametrize("gate", ["one_bit", "two_bit"])
+def test_mc_resolves_the_spread_of_a_tiny_infidelity(gate, tau):
+    # 1 - F_n near 1e-196 (1e-296): the squares of its deviations from the
+    # mean underflowed to 0, so the run reported a stderr of 0
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=tau)
+    run = {"one_bit": lambda *args: fidelity_one_bit(T_PI, ctx, *args),
+           "two_bit": lambda *args: fidelity_two_bit(ctx, *args)}[gate]
+    mc = run(Method.MONTE_CARLO, 20_000, np.random.default_rng(0))
+    assert mc.stderr > 0
+    assert abs(mc.one_minus_f - run(Method.ANALYTIC).one_minus_f) <= 5 * mc.stderr
+
+
+def test_mc_takes_one_tangent_per_pulse_per_chunk(monkeypatch):
+    # one chunk of 1000 samples: one tan per pulse, and no sine or cosine
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8)
+    gates = {1: lambda: fidelity_one_bit(T_PI, ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
+             3: lambda: fidelity_two_bit(ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES)}
+    for run in gates.values():
+        run()  # builds each kernel outside the count
+    calls = []
+    for name in ("tan", "sin", "cos"):
+        def spy(*args, _real=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    for pulses, run in gates.items():
+        calls.clear()
+        run()
+        assert calls == ["tan"] * pulses
+
+
 def test_mc_moments_merge_without_cancellation():
     # F_n = 1 - 1e-9 (A_n - mean): a raw sum of F^2 would lose the whole variance
     dist = AreaDistribution(T_PI, CTX.tau, CTX.omega)
@@ -489,8 +521,11 @@ def test_two_bit_kernel_matches_the_dense_per_sample_contraction(seed):
         *(a - step.nominal_area for a, step in zip(areas, UNIVERSAL_SEQUENCE)))
     want = _per_sample_infidelity(_dense_two_bit_amp(*areas), TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
     _assert_kernel_matches_dense(got, want)
-    # 16 of the 26 deviation terms reach 8 real columns
-    assert fidelity_mod._two_bit_kernel()[2].shape == (16, 8)
+    # 16 of the 26 deviation terms reach 8 real columns of rank 5: the
+    # statistic reads a factor L on 5 columns with L L^T = K K^T
+    _, k, factor = fidelity_mod._two_bit_kernel()
+    assert k.shape == (16, 8) and factor.shape == (16, 5)
+    assert np.abs(factor @ factor.T - k @ k.T).max() <= 1e-15
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.7])
@@ -506,19 +541,18 @@ def test_one_bit_kernel_matches_the_dense_per_sample_contraction(phi):
     _assert_kernel_matches_dense(got, _per_sample_infidelity(amp, ONE_BIT_W_DIAG, ONE_BIT_W_OFF))
     # one term, sin(delta/2) b, so 1 - F_n = (3/4) sin^2(delta/2) for any phi
     assert np.allclose(got, 0.75 * np.sin(0.5 * (areas - a0)) ** 2, rtol=1e-14, atol=0)
-    assert len(kernel[1]) == 1
+    assert len(kernel.codes) == 1
 
 
-def _all_rows_statistic(kernel, *areas):
+def _all_rows_statistic(kernel, *deviations):
     """The kernel statistic in its gather form: every row of u built for
     every pulse, and w_k the product over all pulses of the rows its code
-    picks, u[0] = 1 included."""
-    nominal, codes, k = kernel
+    picks, u[0] = 1 included, contracted with the kernel's factor."""
+    codes, _, factor = kernel
     w = 1.0
-    for a, a0, c in zip(areas, nominal, codes.T):
-        d = a - a0
-        w = w * np.stack([np.ones_like(d), np.sin(0.5 * d), 2 * np.sin(0.25 * d) ** 2])[c]
-    return ((k.T @ w) ** 2).sum(axis=0)
+    for d, c in zip(deviations, codes.T):
+        w = w * np.stack([np.ones_like(d), *fidelity_mod._u(d)])[c]
+    return ((factor.T @ w) ** 2).sum(axis=0)
 
 
 @pytest.mark.parametrize("gate", ["one_bit", "one_bit_phi", "two_bit"])
@@ -534,10 +568,9 @@ def test_kernel_statistic_builds_only_the_rows_it_uses(gate):
     statistic = fidelity_mod._kernel_statistic(kernel)
     # a full Monte Carlo chunk, then a short one through the reused work arrays
     for n in (fidelity_mod._MC_CHUNK, 300):
-        areas = [a0 + _random_deviations(rng, n, -6, 0.5) for a0 in kernel[0]]
-        deviations = [a - a0 for a, a0 in zip(areas, kernel[0])]
+        deviations = [_random_deviations(rng, n, -6, 0.5) for _ in kernel.codes.T]
         # the same products in the same order: bitwise equal
-        assert np.array_equal(statistic(*deviations), _all_rows_statistic(kernel, *areas))
+        assert np.array_equal(statistic(*deviations), _all_rows_statistic(kernel, *deviations))
 
 
 def test_two_bit_quadrature_stops_at_the_nodes_it_needs(monkeypatch):
@@ -600,12 +633,14 @@ def test_infidelity_monotone_in_tau():
 @pytest.mark.parametrize("tau", [5e-324, 1e-310])
 def test_oracles_at_a_subnormal_tau(tau):
     # 5e-324: t/tau overflows, so every oracle takes the delta limit; 1e-310:
-    # the two-bit Gauss rule runs at shape 1.4e307
+    # the two-bit Gauss rule runs at shape 1.4e307, and Monte Carlo resolves
+    # the spread of its 1 - F_n of about 1e-306
     ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=tau)
     for res in (fidelity_one_bit(T_PI, ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
                 fidelity_two_bit(ctx, Method.MONTE_CARLO, MIN_MC_SAMPLES),
                 fidelity_one_bit(T_PI, ctx, Method.QUADRATURE)):
-        assert res.one_minus_f == pytest.approx(0.0, abs=1e-30) and res.stderr == 0.0
+        assert res.one_minus_f == pytest.approx(0.0, abs=1e-30)
+        assert (res.stderr == 0.0) == (tau == 5e-324 or res.method is Method.QUADRATURE)
     # and the two-bit quadrature agrees with the closed form
     quad = fidelity_two_bit(ctx, Method.QUADRATURE).one_minus_f
     assert abs(quad - fidelity_two_bit(ctx).one_minus_f) < 1e-15

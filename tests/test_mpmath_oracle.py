@@ -121,3 +121,25 @@ def test_two_bit_kernel_matches_mpmath_dense_product(seed):
     got = fidelity_mod._kernel_statistic(fidelity_mod._two_bit_kernel())(
         *(np.array([a - step.nominal_area]) for a, step in zip(areas, UNIVERSAL_SEQUENCE)))
     assert _rel_err(float(got[0]), two_bit_sample_infidelity_mp(areas)) <= 1e-12
+
+
+def _ulps(got: np.ndarray, want) -> np.ndarray:
+    """|got - want| in units of the spacing of floats at want."""
+    return np.array([float(abs(mpmath.mpf(g) - w) / float(np.spacing(abs(float(w))))) for g, w in zip(got, want)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_tangent_rows_match_mpmath():
+    # u(d)'s rows sin(d/2) and 2 sin^2(d/4) from one tan(d/4): for |d| in
+    # [1e-150, 1e3], and within 1e-9 of the poles d = 2 pi (2m + 1) of the
+    # tangent, where sin(d/2) goes to 0 and 2 sin^2(d/4) to 2
+    rng = np.random.default_rng(5)
+    spread = rng.choice([-1.0, 1.0], 1500) * 10 ** rng.uniform(-150, 3, 1500)
+    poles = np.array([2 * math.pi * (2 * m + 1) for m in range(5)])
+    near = (poles[:, None] + rng.choice([-1.0, 1.0], (5, 100)) * 10 ** rng.uniform(-15, -9, (5, 100))).ravel()
+    d = np.concatenate([spread, poles, np.nextafter(poles, 0.0), np.nextafter(poles, 100.0), near])
+    s, v = fidelity_mod._u(d)
+    assert _ulps(s, [mpmath.sin(mpmath.mpf(x) / 2) for x in d]).max() <= 4
+    assert _ulps(v, [2 * mpmath.sin(mpmath.mpf(x) / 4) ** 2 for x in d]).max() <= 4
+    s0, v0 = fidelity_mod._u(np.zeros(3))
+    assert not s0.any() and not v0.any()
