@@ -41,13 +41,11 @@ _SUBMODULE_EXPORTS = {
         "fidelity_one_bit",
         "fidelity_two_bit",
         "fractional_error",
-        "rbar_one_bit",
     ),
     "gates": (
         "GateContext",
         "PulseStep",
         "UNIVERSAL_SEQUENCE",
-        "ideal_one_bit_gate",
         "ideal_two_bit_gate",
         "one_bit_unitary",
         "pulse_unitary",
@@ -57,7 +55,6 @@ _SUBMODULE_EXPORTS = {
         "DensityMatrix",
         "ValidityReport",
         "hermitian_eigen",
-        "kron",
         "two_bit_basis",
         "validate_density",
     ),

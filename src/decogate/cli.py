@@ -154,6 +154,8 @@ def cmd_sweep(args, parser) -> int:
     _resolve(args, parser)
     if args.points < 2:
         parser.error("need at least 2 points")
+    if args.fit and args.points < 3:
+        parser.error("--fit needs at least 3 points")
     gate = args.gate.replace("-", "_")
     try:
         ctx = _context(args)

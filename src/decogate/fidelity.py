@@ -4,30 +4,28 @@ The averaged process operator Rbar_{i',i} is the pulse-area average of
 U(A)|i><i'|U(A)^dag; the fidelity tensor F[i',i,j',j] compares it to the
 ideal gate U via <j'|U^dag Rbar_{i',i} U|j>, and the gate fidelity is a fixed
 linear contraction of the tensor (weights 3/8, 1/8 for one bit; 1/8, 1/24 for
-two bits).  With each pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), the
-gate W(A) = U_p(A_p) ... U_1(A_1) expands over one part per pulse, and its
-amplitudes <d|U^dag W(A)|i> on the logical states |i> are sum_k w_k(A) T[k,
-i, d], where w_k(A) = prod_p v(A_p)[codes[k, p]] and v(A) = (1, cos(A/2),
-sin(A/2)).  Rebasing each pulse's parts to its nominal area A0 gives the
-table in the area deviations delta = A - A0, with v replaced by u(delta) =
-(1, sin(delta/2), 2 sin^2(delta/4)); its all-zero code term is the ideal
-gate, and by unitarity 1 - F_n is a sum of squares of the remaining terms,
-||w(delta) @ K||^2 for one real kernel K per gate (`_infidelity_kernel`).
-Both rows of u past the first come from one tan(delta/4) (`_u`).
+two bits).  Each pulse U(A) = q + cos(A/2) r + sin(A/2) b (`gates`), rebased
+to its nominal area A0, is a sum of three parts weighted by u(delta) = (1,
+sin(delta/2), 2 sin^2(delta/4)) of the deviation delta = A - A0, so the
+gate's amplitudes <d|U^dag W|i> on the logical |i> are sum_k w_k(delta) T[k,
+i, d] with w_k = prod_p u(delta_p)[codes[k, p]]: one table (codes, T) per
+gate (`_logical_table`), whose all-zero code is the ideal gate.  Both rows
+of u past the first come from one tan(delta/4) (`_u`).
 
-Both gates run one estimator (`_infidelity`) on their kernel.  Monte Carlo
-averages the per-sample 1 - F_n, not F_n, so a 1 - F far below the rounding
-of F = 1 is still resolved; it reads ||w(delta) @ L||^2 for a factor L of
-K K^T on K's rank, 5 columns for the two-bit K's 8.  The closed form and
-the quadrature oracle average the same sum: with independent areas,
-E[w_k w_l] = prod_p
-M_p[codes[k, p], codes[l, p]] for one moment matrix M_p = E[u u^T] per
-pulse, so 1 - F is the average of (K K^T)[k, l], and the two-bit tensor that
-of T[k] conj(T[l]) (`_contract_moments`).  The two differ only in M_p:
-closed forms on `deviation_char`, the characteristic function of the
-deviation from the mean area, or the Gauss rule on that deviation.  Both
-oracles are those of `decoherence`, and each reads the distribution's
-decision whether it is the delta at its mean.
+Everything reads the table.  By unitarity 1 - F_n is a sum of squares of
+its other terms, ||w(delta) @ K||^2 for one real kernel K per gate
+(`_infidelity_kernel`), and both gates run one estimator (`_infidelity`) on
+their kernel.  Monte Carlo averages the per-sample 1 - F_n, not F_n, so a
+1 - F far below the rounding of F = 1 is still resolved; it reads
+||w(delta) @ L||^2 for a factor L of K K^T on K's rank, 5 columns for the
+two-bit K's 8.  The closed form and the quadrature oracle average the same
+sum: with independent areas, E[w_k w_l] = prod_p M_p[codes[k, p], codes[l,
+p]] for one moment matrix M_p = E[u u^T] per pulse, so 1 - F is the average
+of (K K^T)[k, l], and a fidelity tensor that of T[k] conj(T[l]) on the
+logical block (`_contract_moments`).  The two differ only in M_p: closed
+forms on `deviation_char`, the characteristic function of the deviation
+from the mean area, or the Gauss rule on that deviation, each reading the
+distribution's decision whether it is the delta at its mean.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .decoherence import (
     _mc_moments,
     deviation_char,
     gauss_average,
-    kernel_integrals,
     one_minus_re,
 )
 from .gates import (
@@ -54,7 +51,6 @@ from .gates import (
     UNIVERSAL_SEQUENCE,
     GateContext,
     carrier_parts,
-    ideal_one_bit_gate,
     ideal_two_bit_gate,
     one_bit_unitary,
     pulse_parts,
@@ -124,42 +120,32 @@ def contract_fidelity(tensor: FidelityTensor, w_diag: float, w_off: float) -> fl
 # --------------------------------------------------------------------------
 
 
-def _v(a: np.ndarray) -> np.ndarray:
-    """v(A) = (1, cos(A/2), sin(A/2)) for each area, as (n, 3): the weights of
-    the parts (q, r, b) in U(A) = q + cos(A/2) r + sin(A/2) b."""
-    return np.stack([np.ones_like(a), np.cos(0.5 * a), np.sin(0.5 * a)], axis=-1)
-
-
-def _logical_table(parts_seq, ideal: np.ndarray, logical, leak: bool = False):
-    """(codes, T) of the gate whose pulses have the parts (q, r, b) in
-    parts_seq, in time order: T[k, i, d] = <d|U^dag W_k|i> for the logical
-    |i>, with d over the logical states and then, if leak, over every other
-    state.  Only terms with a nonzero T[k] stay."""
-    rows = list(logical) + [d for d in range(len(ideal)) if leak and d not in logical]
-    cols = np.eye(len(ideal))[:, list(logical)]
-    terms = cols[None]
-    for parts in parts_seq:
-        terms = np.einsum("cde,kel->kcdl", np.stack(parts), terms).reshape(-1, *cols.shape)
-    table = np.swapaxes(np.eye(len(ideal))[:, rows].T @ ideal.conj().T @ terms, 1, 2)
-    codes = np.array(list(np.ndindex(*(3,) * len(parts_seq))))
-    keep = np.any(table != 0, axis=(1, 2))
-    return codes[keep], table[keep]
-
-
-def _table_amp(table, *areas) -> np.ndarray:
-    """amp[n, i, j'] = sum_k w_k(A_n) T[k, i, j'] for table = (codes, T) and
-    one (n,) area array per pulse."""
-    codes, t = table
-    w = 1.0
-    for a, c in zip(areas, codes.T):
-        w = w * _v(a)[:, c]
-    return (w @ t.reshape(len(t), -1)).reshape(-1, *t.shape[1:])
-
-
 # Table entries are sums of products of entries of unit-norm parts, so an
 # entry that is 0 in exact arithmetic comes out as a few ulp at most; the
-# kernel treats anything this small as 0.
+# table and the kernel treat anything this small as 0.
 _ROUNDING = 1e-12
+
+
+def _logical_table(pulses, ideal: np.ndarray, logical):
+    """(codes, T) of the gate whose pulses are the (parts, nominal area)
+    pairs in `pulses`, in time order: T[k, i, d] = <d|U^dag W_k|i> for the
+    logical |i>, with d over the logical states and then every other one.
+    Each pulse's parts are rebased to its nominal area A0, U(A0 + delta) = (q
+    + c0 r + s0 b) + sin(delta/2) (c0 b - s0 r) - 2 sin^2(delta/4) (c0 r + s0
+    b) with (c0, s0) = (cos, sin)(A0/2).  Entries as small as the rounding
+    are 0, and only codes with a nonzero T[k] stay."""
+    cols = np.eye(len(ideal))[:, list(logical)]
+    terms = cols[None]
+    for (q, r, b), a0 in pulses:
+        c0, s0 = math.cos(0.5 * a0), math.sin(0.5 * a0)
+        parts = np.stack((q + c0 * r + s0 * b, c0 * b - s0 * r, -(c0 * r + s0 * b)))
+        terms = np.einsum("cde,kel->kcdl", parts, terms).reshape(-1, *cols.shape)
+    rows = list(logical) + [d for d in range(len(ideal)) if d not in logical]
+    table = np.swapaxes(np.eye(len(ideal))[:, rows].T @ ideal.conj().T @ terms, 1, 2)
+    table[np.abs(table) <= _ROUNDING] = 0.0
+    codes = np.array(list(np.ndindex(*(3,) * len(pulses))))
+    keep = table.any(axis=(1, 2))
+    return codes[keep], table[keep]
 
 
 class _Kernel(NamedTuple):
@@ -188,26 +174,19 @@ def _rank_factor(k: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _infidelity_kernel(pulses, ideal: np.ndarray, logical, w_diag: float, w_off: float) -> _Kernel:
-    """The kernel of the gate whose pulses are the (parts, nominal area)
-    pairs in `pulses`: 1 - F_n = ||w(delta_n) @ K||^2.
+def _infidelity_kernel(table, w_diag: float, w_off: float) -> _Kernel:
+    """The kernel of the gate with the table (codes, T): 1 - F_n =
+    ||w(delta_n) @ K||^2.
 
-    Each pulse's parts are rebased to its nominal area A0, U(A0 + delta) =
-    (q + c0 r + s0 b) + sin(delta/2) (c0 b - s0 r) - 2 sin^2(delta/4) (c0 r +
-    s0 b) with (c0, s0) = (cos, sin)(A0/2), so w_k = prod_p u(delta_p)[codes[k,
-    p]].  The all-zero code term is the ideal gate (checked) and is dropped;
-    the rest give the logical block E = M - 1 and the leaked amplitudes
+    The all-zero code term is the ideal gate (checked) and is dropped; the
+    rest give the logical block E = M - 1 and the leaked amplitudes
     directly.  By unitarity and n sum|x_i|^2 - |sum x_i|^2 = sum_{i<j}|x_i -
     x_j|^2, the contraction is 1 - F_n = w_off sum_{i<j}|E_ii - E_jj|^2 +
     (w_off (n - 2) + w_diag) sum_{i!=j}|E_ij|^2 + (w_off (n - 1) + w_diag) *
     leaked norm, a sum of squares of real linear forms in w: K's columns.
     """
-    rebased = []
-    for (q, r, b), a0 in pulses:
-        c0, s0 = math.cos(0.5 * a0), math.sin(0.5 * a0)
-        rebased.append((q + c0 * r + s0 * b, c0 * b - s0 * r, -(c0 * r + s0 * b)))
-    codes, t = _logical_table(rebased, ideal, logical, leak=True)
-    n = len(logical)
+    codes, t = table
+    n = t.shape[1]
     if codes[0].any() or np.abs(t[0] - np.eye(*t.shape[1:])).max() > _ROUNDING:
         raise ValueError("the pulses at their nominal areas do not make the ideal gate")
     codes, t = codes[1:], t[1:]
@@ -248,6 +227,15 @@ def _contract_moments(pairs, moments):
         terms[:n // 2] += terms[(n + 1) // 2:n]
         n = (n + 1) // 2
     return terms[0]
+
+
+def _tensor_pairs(table, entries=...):
+    """The moment pairs of the fidelity tensor F[i', i, j', j] = E[amp[i, j']
+    conj(amp[i', j])], amp = w(delta) @ T on the table's logical block, at
+    `entries` of the tensor: sum_kl G[k,l] T[k, i, j'] conj(T[l, i', j])."""
+    codes, t = table
+    t = t[:, :, :t.shape[1]]
+    return _moment_pairs(codes, np.einsum("kab,lcd->klcabd", t, t.conj())[:, :, entries])
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +312,10 @@ class _Gate(NamedTuple):
     omega: float
     times: tuple
 
+    def distributions(self, tau) -> tuple[AreaDistribution, ...]:
+        """The pulses' area distributions at noise tau."""
+        return tuple(AreaDistribution(t, tau, self.omega) for t in self.times)
+
 
 @functools.cache
 def _infidelity_pairs(kernel_of):
@@ -369,7 +361,7 @@ def _infidelity(gate: _Gate, tau, method: Method, n_samples: int = 1_000_000,
         moments = _closed_moments(gate, tau)
     else:
         # the distributions first: they name an overflowing nominal area or scale
-        dists = tuple(AreaDistribution(t, tau, gate.omega) for t in gate.times)
+        dists = gate.distributions(tau)
         if method is Method.MONTE_CARLO:
             return _mc_moments(dists, _kernel_statistic(gate.kernel_of()), n_samples, rng)
         moments = _gauss_moments(dists)
@@ -393,43 +385,31 @@ ONE_BIT_W_DIAG = 3.0 / 8.0
 ONE_BIT_W_OFF = 1.0 / 8.0
 
 
-def rbar_one_bit(i: int, i_prime: int, t: float, ctx: GateContext) -> np.ndarray:
-    """Averaged process operator E[U(A)|i><i'|U(A)^dag] for the carrier
-    rotation, in closed form via the Gamma characteristic function."""
-    if i not in (0, 1) or i_prime not in (0, 1):
-        raise ValueError("state indices must be 0 or 1")
-    k = kernel_integrals(t, ctx.omega, ctx.tau)
-    # U|i> = cos(A/2) e_i + sin(A/2) B e_i, so the average of the outer
-    # product weighs the four column products by C2, S2, Z, Z
-    _, e, b = carrier_parts(ctx.phi)
-    ei, bi, ej, bj = e[:, i], b[:, i], e[:, i_prime].conj(), b[:, i_prime].conj()
-    return k.c2 * np.outer(ei, ej) + k.s2 * np.outer(bi, bj) + k.z * (
-        np.outer(ei, bj) + np.outer(bi, ej)
-    )
-
-
 def f0000_one_bit(t: float, ctx: GateContext) -> float:
     """Closed form of the averaged overlap E[cos^2((A - Omega t)/2)], the
     single independent tensor element of the one-bit gate: 1 - E[sin^2(delta/2)]."""
     return 1.0 - float(_closed_moments(_one_bit_gate(t, ctx), ctx.tau)[0][1, 1])
 
 
+def _one_bit_table(phi: float):
+    """The carrier rotation's table at phi, rebased to nominal area pi: its
+    terms (1, b, -1) hold at every nominal area, so it serves every t."""
+    return _logical_table(((carrier_parts(phi), PI),), one_bit_unitary(PI, phi), (0, 1))
+
+
 def closed_one_bit_tensor(t: float, ctx: GateContext) -> FidelityTensor:
     """Full 2x2x2x2 fidelity tensor of the carrier rotation."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    u = ideal_one_bit_gate(t, ctx)
-    return FidelityTensor.full(np.array(
-        [[u.conj().T @ rbar_one_bit(i, ip, t, ctx) @ u for i in range(2)] for ip in range(2)]))
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+    moments = _closed_moments(_one_bit_gate(t, ctx), ctx.tau)
+    return FidelityTensor.full(_contract_moments(_tensor_pairs(_one_bit_table(ctx.phi)), moments))
 
 
 @functools.cache
 def _one_bit_kernel():
-    """The carrier rotation's kernel at phi = 0 and nominal area pi.  Its one
-    term, sin(delta/2) U(A0)^dag (c0 b - s0) = sin(delta/2) b, and K K^T =
-    3/4 hold at every A0 and phi, so it serves every t and phi."""
-    return _infidelity_kernel(((carrier_parts(0.0), PI),), one_bit_unitary(PI), (0, 1),
-                              ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+    """The carrier rotation's kernel: its one term sin(delta/2) b and K K^T =
+    3/4 hold at every phi, so the table at phi = 0 serves every rotation."""
+    return _infidelity_kernel(_one_bit_table(0.0), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
 
 
 def _one_bit_gate(t: float, ctx: GateContext) -> _Gate:
@@ -457,50 +437,47 @@ def fidelity_one_bit(
 TWO_BIT_W_DIAG = 1.0 / 8.0
 TWO_BIT_W_OFF = 1.0 / 24.0
 
-_TWO_BIT_PULSES = [(pulse_parts(step), step.nominal_area) for step in UNIVERSAL_SEQUENCE]
-# The two-bit gate's table: 4 of its 27 terms have a nonzero logical block.
-_TWO_BIT_TABLE = _logical_table([p for p, _ in _TWO_BIT_PULSES], ideal_two_bit_gate(), LOGICAL_INDICES)
-# F[i', i, j', j] = sum_kl G[k,l] T[k, i, j'] conj(T[l, i', j]), G from E[v v^T].
-_TWO_BIT_TENSOR = _moment_pairs(
-    _TWO_BIT_TABLE[0], np.einsum("kab,lcd->klcabd", _TWO_BIT_TABLE[1], _TWO_BIT_TABLE[1].conj()))
-# v(A0 + delta) = R u(delta) at each nominal area A0, so E[v v^T] = R E[u u^T] R^T.
-_REBASE = [np.array([[1, 0, 0], [c, -s, -c], [s, c, -s]])
-           for c, s in ((math.cos(0.5 * a0), math.sin(0.5 * a0)) for _, a0 in _TWO_BIT_PULSES)]
 # The closed tensor's known entries: those contract_fidelity reads, F[i,i,j,j] and F[j,i,i,j].
 _TWO_BIT_KNOWN = np.einsum("ab,cd->abcd", *[np.eye(4)] * 2) + np.einsum("ad,bc->abcd", *[np.eye(4)] * 2) > 0
+
+
+@functools.cache
+def _two_bit_table():
+    """The three-pulse gate's table: 17 of 27 codes, 9 reaching the logical block."""
+    pulses = [(pulse_parts(step), step.nominal_area) for step in UNIVERSAL_SEQUENCE]
+    return _logical_table(pulses, ideal_two_bit_gate(), LOGICAL_INDICES)
 
 
 @functools.cache
 def _two_bit_kernel():
     """The two-bit gate's kernel, 16 of its 26 deviation terms on 8 real
     columns of rank 5 (two pairs of equal columns, and a fifth the
-    difference of two others), so its factor has 5; built on first use, so
-    importing costs nothing."""
-    return _infidelity_kernel(_TWO_BIT_PULSES, ideal_two_bit_gate(), LOGICAL_INDICES,
-                              TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+    difference of two others), so its factor has 5."""
+    return _infidelity_kernel(_two_bit_table(), TWO_BIT_W_DIAG, TWO_BIT_W_OFF)
+
+
+@functools.cache
+def _two_bit_tensor_pairs(known: bool):
+    """The two-bit tensor's moment pairs, on its known entries or on all 256."""
+    return _tensor_pairs(_two_bit_table(), _TWO_BIT_KNOWN if known else ...)
 
 
 def _two_bit_gate(ctx: GateContext) -> _Gate:
     """The three pulses (nominal areas pi, 2pi, pi) at Omega'."""
     wp = ctx.omega_prime
-    return _Gate(_two_bit_kernel, wp, tuple(a0 / wp for _, a0 in _TWO_BIT_PULSES))
+    return _Gate(_two_bit_kernel, wp, tuple(step.nominal_area / wp for step in UNIVERSAL_SEQUENCE))
 
 
 def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
     """Area distributions of the three pulses (nominal pi, 2pi, pi)."""
-    wp = ctx.omega_prime
-    return tuple(AreaDistribution(step.nominal_area / wp, ctx.tau, wp) for step in UNIVERSAL_SEQUENCE)
-
-
-def _two_bit_tensor(moments) -> np.ndarray:
-    """F[i', i, j', j] from one deviation moment matrix E[u u^T] per pulse."""
-    return _contract_moments(_TWO_BIT_TENSOR, [r @ m @ r.T for r, m in zip(_REBASE, moments)])
+    return _two_bit_gate(ctx).distributions(ctx.tau)
 
 
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Closed-form two-bit tensor on the entries contract_fidelity reads; NaN elsewhere."""
-    values = _two_bit_tensor(_closed_moments(_two_bit_gate(ctx), ctx.tau))
-    values[~_TWO_BIT_KNOWN] = np.nan
+    values = np.full((4,) * 4, np.nan, dtype=complex)
+    values[_TWO_BIT_KNOWN] = _contract_moments(_two_bit_tensor_pairs(True),
+                                               _closed_moments(_two_bit_gate(ctx), ctx.tau))
     return FidelityTensor(n_states=4, values=values, known=_TWO_BIT_KNOWN.copy())
 
 
@@ -522,15 +499,18 @@ def mc_two_bit_tensor(
     ctx: GateContext, n_samples: int, rng: np.random.Generator | None = None
 ) -> tuple[FidelityTensor, np.ndarray]:
     """Monte Carlo tensor F[i', i, j', j] = E[amp[i, j'] conj(amp[i', j])]
-    and its per-element standard errors."""
-
-    dists = pulse_distributions(ctx)
+    and its per-element standard errors, amp = w(delta) @ T on the table's
+    logical block."""
+    codes, t = _two_bit_table()
+    block = t[:, :, :4].reshape(len(t), -1)
 
     def products(*deviations):
-        amp = _table_amp(_TWO_BIT_TABLE, *(d.mean + dev for d, dev in zip(dists, deviations)))
+        w = functools.reduce(np.multiply, (np.stack([np.ones_like(d), *_u(d)])[c]
+                                           for d, c in zip(deviations, codes.T)))
+        amp = (w.T @ block).reshape(-1, 4, 4)
         return amp[:, None, :, :, None] * amp.conj()[:, :, None, None, :]  # [n, i', i, j', j]
 
-    mean, stderr = _mc_moments(dists, products, n_samples, rng)
+    mean, stderr = _mc_moments(pulse_distributions(ctx), products, n_samples, rng)
     return FidelityTensor.full(mean), stderr
 
 
@@ -543,4 +523,5 @@ def fidelity_mc_two_bit(
 
 def quad_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Quadrature oracle for the two-bit tensor: the Gauss rule's moments."""
-    return FidelityTensor.full(_two_bit_tensor(_gauss_moments(pulse_distributions(ctx))))
+    return FidelityTensor.full(_contract_moments(_two_bit_tensor_pairs(False),
+                                                 _gauss_moments(pulse_distributions(ctx))))

@@ -142,10 +142,3 @@ def ideal_two_bit_gate() -> np.ndarray:
     ee0 = basis_index("e", "e", 0)
     u[ee0, ee0] = -1.0
     return u
-
-
-def ideal_one_bit_gate(t: float, ctx: GateContext) -> np.ndarray:
-    """Carrier rotation at the nominal area omega*t."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    return one_bit_unitary(ctx.omega * t, ctx.phi)

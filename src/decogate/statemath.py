@@ -64,17 +64,6 @@ LOGICAL_INDICES = (
 )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("first factor is not square")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("second factor is not square")
-    return np.kron(a, b)
-
-
 def hermiticity_error(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 

@@ -134,6 +134,14 @@ def test_sweep_single_point_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_sweep_fit_on_two_points_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--gate", "one-bit", "--tau-min", "1e-10",
+              "--tau-max", "1e-8", "--points", "2", "--fit"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_bad_range_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--gate", "one-bit", "--tau-min", "1e-8",

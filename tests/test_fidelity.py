@@ -32,14 +32,12 @@ from decogate.fidelity import (
     mc_two_bit_tensor,
     pulse_distributions,
     quad_two_bit_tensor,
-    rbar_one_bit,
 )
 from decogate.gates import (
     DIM,
     UNIVERSAL_SEQUENCE,
     GateContext,
     carrier_parts,
-    ideal_one_bit_gate,
     ideal_two_bit_gate,
     one_bit_unitary,
     pulse_parts,
@@ -109,23 +107,6 @@ def test_contract_fidelity_weights():
     assert contract_fidelity(FidelityTensor.full(ident), 3 / 8, 1 / 8) == pytest.approx(1.0)
 
 
-def test_rbar_trace_relations():
-    for i in range(2):
-        for ip in range(2):
-            r = rbar_one_bit(i, ip, T_PI, CTX)
-            tr = np.trace(r)
-            if i == ip:
-                assert tr == pytest.approx(1.0, abs=1e-12)
-            else:
-                assert abs(tr) < 1e-12
-
-
-def test_rbar_diagonal_is_valid_density():
-    for i in range(2):
-        report = validate_density(rbar_one_bit(i, i, T_PI, CTX))
-        assert report.ok
-
-
 def test_tensor_conjugation_symmetry():
     rng = np.random.default_rng(0)
     tensor, _ = mc_two_bit_tensor(CTX, 5000, rng)
@@ -147,6 +128,26 @@ def test_closed_one_bit_tensor_contracts_to_fidelity():
     tensor = closed_one_bit_tensor(T_PI, CTX)
     f = contract_fidelity(tensor, ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
     assert f == pytest.approx(fidelity_one_bit(T_PI, CTX).fidelity, abs=1e-13)
+
+
+@pytest.mark.parametrize("noise", [1e-6, 1e-2, 1.0])
+@pytest.mark.parametrize("rotation", [0.37, 2.5])
+@pytest.mark.parametrize("phi", [0.7, -2.0])
+def test_closed_one_bit_tensor_matches_the_dense_gauss_average(phi, rotation, noise):
+    # F[i', i, j', j] = E[amp[i, j'] conj(amp[i', j])] for amp[i, j'] =
+    # <j'|U_ideal^dag U(A)|i> of the dense carrier rotation, by the Gauss
+    # rule on the area, off the pi pulse and at phi != 0
+    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=noise / 1e5, phi=phi)
+    t = rotation * T_PI
+    dist = AreaDistribution(t, ctx.tau, ctx.omega)
+    ideal = one_bit_unitary(dist.mean, phi)
+
+    def products(dev):
+        amp = np.array([(ideal.conj().T @ one_bit_unitary(dist.mean + d, phi)).T for d in dev])
+        return amp[:, None, :, :, None] * amp.conj()[:, :, None, None, :]
+
+    want, _ = decoherence_mod.gauss_average(products, dist)
+    assert np.abs(closed_one_bit_tensor(t, ctx).values - want).max() < 1e-13
 
 
 def test_closed_two_bit_tensor_known_mask():
@@ -284,19 +285,6 @@ def test_closed_two_bit_tensor_knows_exactly_the_contracted_entries():
         assert contract_fidelity(bumped, TWO_BIT_W_DIAG, TWO_BIT_W_OFF) != base
 
 
-@pytest.mark.parametrize("noise", [1e-4, 1e-1, 10.0])
-def test_rebase_maps_deviation_moments_to_area_moments(noise):
-    # v(A0 + delta) = R u(delta): R E[u u^T] R^T is the Gauss rule's E[v v^T]
-    # taken on the area itself, for each pulse
-    dists = pulse_distributions(ctx_at_op_tau(noise))
-    for r, m, d in zip(fidelity_mod._REBASE, fidelity_mod._gauss_moments(dists), dists):
-        def products(dev, d=d):
-            v = fidelity_mod._v(d.mean + dev)
-            return v[:, :, None] * v[:, None, :]
-        direct, _ = decoherence_mod.gauss_average(products, d)
-        assert np.abs(r @ m @ r.T - direct).max() < 1e-13
-
-
 @pytest.mark.parametrize("weights", ["kernel", "tensor"])
 def test_moment_contraction_matches_the_dense_sum(weights):
     # sum_kl G[k,l] W[k,l], G[k,l] = prod_p M_p[codes[k,p], codes[l,p]], for
@@ -305,8 +293,8 @@ def test_moment_contraction_matches_the_dense_sum(weights):
         codes, k, _ = fidelity_mod._two_bit_kernel()
         w = k @ k.T
     else:
-        codes, t = fidelity_mod._TWO_BIT_TABLE
-        w = np.einsum("kab,lcd->klcabd", t, t.conj())
+        codes, t = fidelity_mod._two_bit_table()
+        w = np.einsum("kab,lcd->klcabd", t[:, :, :4], t[:, :, :4].conj())
     rng = np.random.default_rng(13)
     moments = [a + a.T for a in rng.normal(size=(3, 3, 3))]
     g = np.prod([m[np.ix_(c, c)] for m, c in zip(moments, codes.T)], axis=0)
@@ -477,21 +465,35 @@ def _dense_two_bit_amp(a1, a2, a3):
     return np.einsum("dj,nid->nij", cols.conj(), dense_logical_states(a1, a2, a3))
 
 
+def _amp_from_table(table, *deviations):
+    """amp[n, i, j'] = sum_k w_k(delta_n) T[k, i, j'] on the table's logical
+    block, w_k = prod_p u(delta_p)[codes[k, p]], for one (n,) array of area
+    deviations per pulse."""
+    codes, t = table
+    w = 1.0
+    for d, c in zip(deviations, codes.T):
+        w = w * np.stack([np.ones_like(d), *fidelity_mod._u(d)])[c]
+    return np.einsum("kn,kij->nij", w, t[:, :, :t.shape[1]])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_two_bit_amp_matches_dense_composition(seed):
     rng = np.random.default_rng(seed)
     areas = [rng.uniform(0.0, 4 * math.pi, 256) for _ in range(3)]
-    amp = fidelity_mod._table_amp(fidelity_mod._TWO_BIT_TABLE, *areas)
+    amp = _amp_from_table(fidelity_mod._two_bit_table(),
+                          *(a - step.nominal_area for a, step in zip(areas, UNIVERSAL_SEQUENCE)))
     assert np.abs(amp - _dense_two_bit_amp(*areas)).max() < 1e-13
 
 
 def test_two_bit_amp_at_nominal_areas_is_identity():
     areas = [np.array([step.nominal_area]) for step in UNIVERSAL_SEQUENCE]
-    amp = fidelity_mod._table_amp(fidelity_mod._TWO_BIT_TABLE, *areas)
+    amp = _amp_from_table(fidelity_mod._two_bit_table(), *(np.zeros(1) for _ in areas))
     assert np.abs(amp - _dense_two_bit_amp(*areas)).max() < 1e-13
     assert np.abs(amp[0] - np.eye(4)).max() < 1e-13
-    # 4 of the 27 products of one part per pulse reach the logical block
-    assert len(fidelity_mod._TWO_BIT_TABLE[1]) == 4
+    # 9 of the 27 rebased products of one part per pulse, the ideal gate's
+    # all-zero code among them, reach the logical block
+    codes, t = fidelity_mod._two_bit_table()
+    assert t[:, :, :4].any(axis=(1, 2)).sum() == 9 and not codes[0].any()
 
 
 def _per_sample_infidelity(amp, w_diag, w_off):
@@ -534,7 +536,7 @@ def test_one_bit_kernel_matches_the_dense_per_sample_contraction(phi):
     a0 = 1.3
     ideal = one_bit_unitary(a0, phi)
     kernel = fidelity_mod._infidelity_kernel(
-        ((carrier_parts(phi), a0),), ideal, (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+        fidelity_mod._logical_table(((carrier_parts(phi), a0),), ideal, (0, 1)), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
     areas = a0 + _random_deviations(rng, 400, -4, 0.5)
     got = fidelity_mod._kernel_statistic(kernel)(areas - a0)
     amp = np.array([(ideal.conj().T @ one_bit_unitary(a, phi)).T for a in areas])
@@ -563,7 +565,7 @@ def test_kernel_statistic_builds_only_the_rows_it_uses(gate):
     else:
         phi = 0.7 if gate == "one_bit_phi" else 0.0
         kernel = fidelity_mod._infidelity_kernel(
-            ((carrier_parts(phi), 1.3),), one_bit_unitary(1.3, phi), (0, 1),
+            fidelity_mod._logical_table(((carrier_parts(phi), 1.3),), one_bit_unitary(1.3, phi), (0, 1)),
             ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
     statistic = fidelity_mod._kernel_statistic(kernel)
     # a full Monte Carlo chunk, then a short one through the reused work arrays
@@ -593,20 +595,24 @@ def test_two_bit_quadrature_stops_at_the_nodes_it_needs(monkeypatch):
 
 def test_kernel_refuses_pulses_that_miss_the_ideal_gate():
     with pytest.raises(ValueError, match="ideal gate"):
-        fidelity_mod._infidelity_kernel(((carrier_parts(0.0), 1.3),), one_bit_unitary(1.4),
-                                        (0, 1), ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
+        fidelity_mod._infidelity_kernel(
+            fidelity_mod._logical_table(((carrier_parts(0.0), 1.3),), one_bit_unitary(1.4), (0, 1)),
+            ONE_BIT_W_DIAG, ONE_BIT_W_OFF)
 
 
 def test_one_bit_amp_matches_the_carrier_rotation():
     ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8, phi=0.7)
-    ideal = ideal_one_bit_gate(0.6 * T_PI, ctx)
-    table = fidelity_mod._logical_table((carrier_parts(ctx.phi),), ideal, (0, 1))
+    a0 = ctx.omega * 0.6 * T_PI
+    ideal = one_bit_unitary(a0, ctx.phi)
     areas = np.random.default_rng(8).uniform(0.0, 4 * math.pi, 64)
-    amp = fidelity_mod._table_amp(table, areas)
-    # amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i>
-    want = [(ideal.conj().T @ one_bit_unitary(a, ctx.phi)).T for a in areas]
-    assert np.abs(amp - np.array(want)).max() < 1e-13
-    assert len(table[1]) == 2
+    # amp[n, i, j'] = <j'|U_ideal^dag U(A_n)|i>, from the table rebased to a0
+    # and from the one every rotation at this phi reads, rebased to pi
+    want = np.array([(ideal.conj().T @ one_bit_unitary(a, ctx.phi)).T for a in areas])
+    for table in (fidelity_mod._logical_table(((carrier_parts(ctx.phi), a0),), ideal, (0, 1)),
+                  fidelity_mod._one_bit_table(ctx.phi)):
+        assert np.abs(_amp_from_table(table, areas - a0) - want).max() < 1e-13
+        # the terms 1, b and -1: the ideal gate, sin(delta/2) and 2 sin^2(delta/4)
+        assert len(table[1]) == 3
 
 
 # --- limits -------------------------------------------------------------------

@@ -11,7 +11,6 @@ from decogate.gates import (
     GateContext,
     PulseStep,
     coupled_pairs,
-    ideal_one_bit_gate,
     ideal_two_bit_gate,
     one_bit_unitary,
     pulse_unitary,
@@ -129,24 +128,13 @@ def test_ideal_two_bit_gate_sign_structure():
     assert np.abs(logical - np.diag([1.0, 1.0, 1.0, -1.0])).max() < 1e-14
 
 
-def test_ideal_one_bit_gate_is_carrier_rotation():
-    ctx = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=0.0)
-    t = math.pi / ctx.omega
-    u = ideal_one_bit_gate(t, ctx)
-    assert np.abs(u - one_bit_unitary(ctx.omega * t, ctx.phi)).max() < 1e-14
-
-
-CTX = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call, name", [
-    (lambda x: ideal_one_bit_gate(x, CTX), "t must"),
     (lambda x: one_bit_unitary(x, 0.3), "area"),
     (lambda x: one_bit_unitary(0.7, x), "phi"),
     (lambda x: pulse_unitary(UNIVERSAL_SEQUENCE[0], x), "area"),
     (lambda x: pulse_unitary(PulseStep(1, 0, math.pi, phase=x), 0.7), "phase"),
-], ids=["ideal_t", "one_bit_area", "one_bit_phi", "pulse_area", "pulse_phase"])
+], ids=["one_bit_area", "one_bit_phi", "pulse_area", "pulse_phase"])
 def test_gate_unitaries_reject_non_finite_inputs(call, name, bad):
     with pytest.raises(ValueError, match=name):
         call(bad)

@@ -22,7 +22,8 @@ from decogate.statemath import LOGICAL_INDICES
 
 mpmath.mp.dps = 50
 
-NOISE_GRID = np.logspace(-16, 1, 35)  # Omega*tau (one bit), Omega'*tau (two bit)
+# Omega*tau (one bit), Omega'*tau (two bit); its first 35 points are logspace(-16, 1, 35)
+NOISE_GRID = np.logspace(-16, 12, 57)
 OMEGA = 1e5
 
 

@@ -8,7 +8,6 @@ from decogate.statemath import (
     DensityMatrix,
     basis_index,
     hermitian_eigen,
-    kron,
     two_bit_basis,
     validate_density,
 )
@@ -48,14 +47,6 @@ def test_basis_index_rejects_bad_labels():
         basis_index("x", "g", 0)
     with pytest.raises(ValueError):
         basis_index("g", "g", 2)
-
-
-def test_kron_dimensions_and_values():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.eye(3)
-    k = kron(a, b)
-    assert k.shape == (6, 6)
-    assert np.array_equal(k, np.kron(a, b))
 
 
 def test_hermitian_eigen_residual():
