@@ -11,11 +11,9 @@ _SUBMODULE_EXPORTS = {
     "bounds": ("FeasibilityReport", "ShorScenario", "assess", "required_tau"),
     "decoherence": (
         "AreaDistribution",
-        "DecayChannel",
         "DegenerateDistributionError",
         "KernelValues",
         "averaged_phase_factor",
-        "decay_rates",
         "evolve_energy_basis",
         "gamma_char",
         "kernel_integrals",
@@ -40,7 +38,6 @@ _SUBMODULE_EXPORTS = {
         "fidelity_mc_two_bit",
         "fidelity_one_bit",
         "fidelity_two_bit",
-        "fractional_error",
     ),
     "gates": (
         "GateContext",
@@ -48,14 +45,11 @@ _SUBMODULE_EXPORTS = {
         "UNIVERSAL_SEQUENCE",
         "ideal_two_bit_gate",
         "one_bit_unitary",
-        "pulse_unitary",
     ),
     "statemath": (
-        "BasisLabel",
         "DensityMatrix",
         "ValidityReport",
         "hermitian_eigen",
-        "two_bit_basis",
         "validate_density",
     ),
     "sweep": ("SweepRow", "SweepSpec", "fit_loglog_slope", "run_sweep"),

@@ -32,8 +32,10 @@ class ShorScenario:
         for name in ("omega", "eta", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.omega <= 0 or self.eta <= 0:
+        if self.omega <= 0:
             raise ValueError("physical parameters must be positive")
+        if not 0 < self.eta < 1:
+            raise ValueError("Lamb-Dicke parameter must be in (0, 1)")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
 

@@ -212,7 +212,8 @@ def _load_hamiltonian(path: str):
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                # bool is an int subclass, and JSON true/false are not numbers
+                or not all(type(v) in (int, float) for v in entry)
             ):
                 raise ValueError(f"row {r}, column {c}: expected [re, im]")
             m[r, c] = complex(entry[0], entry[1])

@@ -6,7 +6,7 @@ tau (area: Omega*tau).  Averaging unitary evolution over that distribution
 decays off-diagonal density-matrix elements in the energy basis while leaving
 populations untouched.  This module provides the one distribution,
 `AreaDistribution` (the time itself at omega_mean = 1), its sampling, the
-decay/shift rates and their unit-time exponent per energy gap
+decay and shift rate of each energy gap as one unit-time exponent
 (`gap_exponents`), the averaged phase factor, the characteristic function of
 the deviation from the mean (`deviation_char`), the closed-form pulse-average
 kernels, and the two oracles that cross-check every closed form: one chunked
@@ -39,7 +39,7 @@ _JACOBI_MAX_SHAPE, _JACOBI_SPAN = 4.0, 50.0
 
 
 class DegenerateDistributionError(ValueError):
-    """Raised when a pdf or a sample is requested of the delta-function limit."""
+    """Raised when a sample is requested of the delta-function limit."""
 
 
 @dataclass(frozen=True)
@@ -86,27 +86,6 @@ class AreaDistribution:
     @property
     def variance(self) -> float:
         return self.mean * self.scale
-
-    def log_pdf(self, a):
-        """log pdf at the areas a, safe for shapes up to ~1e6."""
-        if self.degenerate:
-            raise DegenerateDistributionError("degenerate distribution; use delta limit")
-        shape, scale = self.shape, self.scale
-        scalar = np.ndim(a) == 0
-        x = np.atleast_1d(np.asarray(a, dtype=float))
-        out = np.full(x.shape, -np.inf)
-        pos = x > 0
-        xs = x[pos] / scale
-        out[pos] = (shape - 1.0) * np.log(xs) - xs - math.lgamma(shape) - math.log(scale)
-        # x == 0 has finite density only for shape == 1 (exponential)
-        if shape == 1.0:
-            out[x == 0] = -math.log(scale)
-        elif shape < 1.0:
-            out[x == 0] = np.inf
-        return out[0] if scalar else out
-
-    def pdf(self, a):
-        return np.exp(self.log_pdf(a))
 
 
 def _delta(t: float, tau):
@@ -192,23 +171,6 @@ def one_minus_re(log_modulus, angle):
     return -np.expm1(log_modulus) + 2.0 * np.exp(log_modulus) * np.sin(0.5 * angle) ** 2
 
 
-@dataclass(frozen=True)
-class DecayChannel:
-    """Decay rate and shifted frequency of one energy-gap coherence."""
-
-    omega_nm: float
-    gamma: float
-    nu: float
-
-
-def decay_rates(omega_nm: float, tau: float) -> DecayChannel:
-    """Decay rate gamma = ln(1 + w^2 tau^2)/(2 tau) and shifted frequency
-    nu = arctan(w tau)/tau, the characteristic function over unit time;
-    tau = 0 gives the unitary limits (0, w)."""
-    log_modulus, angle = gamma_char(omega_nm, 1.0, tau)
-    return DecayChannel(omega_nm=omega_nm, gamma=-float(log_modulus), nu=float(angle))
-
-
 def averaged_phase_factor(omega: float, t: float, tau: float) -> complex:
     """Gamma-averaged phase e^{-gamma t} e^{-i nu t} = E[e^{-i omega t'}]."""
     log_modulus, angle = gamma_char(-omega, t, tau)
@@ -217,9 +179,11 @@ def averaged_phase_factor(omega: float, t: float, tau: float) -> complex:
 
 def gap_exponents(gaps: np.ndarray, tau: float) -> np.ndarray:
     """The unit-time exponent z = -gamma - i nu of each energy gap omega =
-    E_n - E_m in the square array gaps (decay_rates), from one gamma_char
-    call: the averaged factor E[e^{-i omega t'}] at time t is e^{t z}.  The
-    diagonal is exactly 0, so populations keep a factor of exactly 1."""
+    E_n - E_m in the square array gaps, from one gamma_char call: the decay
+    rate gamma = ln(1 + omega^2 tau^2)/(2 tau) and the shifted frequency nu =
+    arctan(omega tau)/tau, (0, omega) at tau = 0.  The averaged factor
+    E[e^{-i omega t'}] at time t is e^{t z}.  The diagonal is exactly 0, so
+    populations keep a factor of exactly 1."""
     log_modulus, angle = gamma_char(-gaps, 1.0, tau)
     z = log_modulus + 1j * angle
     np.fill_diagonal(z, 0.0)
@@ -246,7 +210,7 @@ def evolve_energy_basis(
     z = gap_exponents(gaps, tau)
     # |z| <= |omega|, so a finite omega t keeps t z finite
     _check_products(gaps, t)
-    return DensityMatrix(rho0.matrix * np.exp(t * z), basis=rho0.basis)
+    return DensityMatrix(rho0.matrix * np.exp(t * z))
 
 
 @dataclass(frozen=True)

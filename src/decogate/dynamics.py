@@ -33,7 +33,6 @@ class HamiltonianSpec:
     """Hermitian Hamiltonian in units of rad/s (hbar = 1)."""
 
     matrix: np.ndarray
-    basis: list | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -109,7 +108,7 @@ def _in_eigenbasis(evolve, h: HamiltonianSpec, rho0: DensityMatrix, t: float, ta
     _check_domain(np.array([t], dtype=float), tau, h.eigenvalues)
     evolved = evolve(rho_eig, h.eigenvalues, t, tau)
     v = h.eigenvectors
-    return DensityMatrix(v @ evolved.matrix @ v.conj().T, basis=rho0.basis)
+    return DensityMatrix(v @ evolved.matrix @ v.conj().T)
 
 
 def exact_map(h: HamiltonianSpec, rho0: DensityMatrix, t: float, tau: float) -> DensityMatrix:

@@ -69,14 +69,12 @@ class FidelityTensor:
     """4-index tensor F[i', i, j', j]; entries not fixed by the closed forms
     are NaN with known=False."""
 
-    n_states: int
     values: np.ndarray
     known: np.ndarray
 
     @classmethod
     def full(cls, values: np.ndarray) -> "FidelityTensor":
-        n = values.shape[0]
-        return cls(n_states=n, values=values, known=np.ones((n,) * 4, dtype=bool))
+        return cls(values=values, known=np.ones(values.shape, dtype=bool))
 
 
 @dataclass
@@ -87,32 +85,6 @@ class GateFidelityResult:
     stderr: float
     context: GateContext
     nominal_time: float
-
-
-def fractional_error(t: float, tau: float) -> float:
-    """Fractional pulse-area error sqrt(tau/t)."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    return math.sqrt(tau / t)
-
-
-def contract_fidelity(tensor: FidelityTensor, w_diag: float, w_off: float) -> float:
-    """F = w_diag * sum_i F[i,i,i,i] + w_off * sum_{i != j} (F[i,i,j,j] +
-    F[j,i,i,j])."""
-    n = tensor.n_states
-    v = tensor.values
-    total = 0.0 + 0.0j
-    for i in range(n):
-        total += w_diag * v[i, i, i, i]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += w_off * (v[i, i, j, j] + v[j, i, i, j])
-    if abs(total.imag) > 1e-10:
-        raise ValueError(f"fidelity contraction is not real: {total}")
-    return float(total.real)
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +409,7 @@ def fidelity_one_bit(
 TWO_BIT_W_DIAG = 1.0 / 8.0
 TWO_BIT_W_OFF = 1.0 / 24.0
 
-# The closed tensor's known entries: those contract_fidelity reads, F[i,i,j,j] and F[j,i,i,j].
+# The closed tensor's known entries, the ones the gate fidelity reads: F[i,i,j,j] and F[j,i,i,j].
 _TWO_BIT_KNOWN = np.einsum("ab,cd->abcd", *[np.eye(4)] * 2) + np.einsum("ad,bc->abcd", *[np.eye(4)] * 2) > 0
 
 
@@ -474,11 +446,11 @@ def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
 
 
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
-    """Closed-form two-bit tensor on the entries contract_fidelity reads; NaN elsewhere."""
+    """Closed-form two-bit tensor on the entries the gate fidelity reads; NaN elsewhere."""
     values = np.full((4,) * 4, np.nan, dtype=complex)
     values[_TWO_BIT_KNOWN] = _contract_moments(_two_bit_tensor_pairs(True),
                                                _closed_moments(_two_bit_gate(ctx), ctx.tau))
-    return FidelityTensor(n_states=4, values=values, known=_TWO_BIT_KNOWN.copy())
+    return FidelityTensor(values=values, known=_TWO_BIT_KNOWN.copy())
 
 
 def fidelity_two_bit(

@@ -66,7 +66,6 @@ class PulseStep:
     target_ion: int
     polarization: int
     nominal_area: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if self.target_ion not in (1, 2):
@@ -75,7 +74,7 @@ class PulseStep:
             raise ValueError("polarization q must be 0 or 1")
 
 
-# The universal gate sequence: pi / 2pi / pi, all with phase 0.
+# The universal gate sequence: pi / 2pi / pi.
 UNIVERSAL_SEQUENCE = (
     PulseStep(target_ion=1, polarization=0, nominal_area=PI),
     PulseStep(target_ion=2, polarization=1, nominal_area=2 * PI),
@@ -116,24 +115,15 @@ def coupled_pairs(step: PulseStep) -> list[tuple[int, int]]:
 
 
 def pulse_parts(step: PulseStep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, r, b) with pulse_unitary(step, A) = q + cos(A/2) r + sin(A/2) b:
-    r projects onto the coupled_pairs blocks, q = 1 - r, and b is the blocks'
-    off-diagonal part."""
+    """(q, r, b) of the 18x18 pulse unitary U(A) = q + cos(A/2) r + sin(A/2) b:
+    r projects onto the coupled_pairs blocks, q = 1 - r, and b = -i on the
+    blocks' off-diagonal."""
     r = np.zeros((DIM, DIM))
     b = np.zeros((DIM, DIM), dtype=complex)
     for hi, lo in coupled_pairs(step):
         r[hi, hi] = r[lo, lo] = 1.0
-        b[hi, lo] = -1j * np.exp(-1j * step.phase)
-        b[lo, hi] = -1j * np.exp(1j * step.phase)
+        b[hi, lo] = b[lo, hi] = -1j
     return np.eye(DIM) - r, r, b
-
-
-def pulse_unitary(step: PulseStep, area: float) -> np.ndarray:
-    """18x18 unitary of one sideband pulse at the given accumulated area."""
-    if not (math.isfinite(area) and math.isfinite(step.phase)):
-        raise ValueError(f"area and phase must be finite, got area={area}, phase={step.phase}")
-    q, r, b = pulse_parts(step)
-    return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
 
 
 def ideal_two_bit_gate() -> np.ndarray:

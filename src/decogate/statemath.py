@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on small labeled Hilbert spaces.
+"""Dense complex linear algebra on small Hilbert spaces.
 
 Everything here operates on plain numpy complex arrays; the spaces involved
 never exceed dimension 18 (two three-level ions times a two-level phonon
@@ -20,39 +20,14 @@ EIGENVALUE_FLOOR = -1e-10
 ION_LEVELS = ("g", "e", "ep")
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """One basis state of the two-ion + center-of-mass-phonon space."""
-
-    ion1_level: str
-    ion2_level: str
-    phonon: int
-
-    def __post_init__(self):
-        if self.ion1_level not in ION_LEVELS or self.ion2_level not in ION_LEVELS:
-            raise ValueError(f"unknown ion level in {self!r}")
-        if self.phonon not in (0, 1):
-            raise ValueError(f"phonon number must be 0 or 1, got {self.phonon}")
-
-    @property
-    def index(self) -> int:
-        i1 = ION_LEVELS.index(self.ion1_level)
-        i2 = ION_LEVELS.index(self.ion2_level)
-        return (i1 * 3 + i2) * 2 + self.phonon
-
-
-def two_bit_basis() -> list[BasisLabel]:
-    """Ordered 18-state basis: (ion1, ion2, phonon), phonon fastest."""
-    return [
-        BasisLabel(l1, l2, ph)
-        for l1 in ION_LEVELS
-        for l2 in ION_LEVELS
-        for ph in (0, 1)
-    ]
-
-
 def basis_index(ion1_level: str, ion2_level: str, phonon: int) -> int:
-    return BasisLabel(ion1_level, ion2_level, phonon).index
+    """Index of |ion1, ion2, phonon> in the 18-state basis: levels in
+    ION_LEVELS order, phonon fastest."""
+    if ion1_level not in ION_LEVELS or ion2_level not in ION_LEVELS:
+        raise ValueError(f"unknown ion level in ({ion1_level!r}, {ion2_level!r})")
+    if phonon not in (0, 1):
+        raise ValueError(f"phonon number must be 0 or 1, got {phonon}")
+    return (ION_LEVELS.index(ion1_level) * 3 + ION_LEVELS.index(ion2_level)) * 2 + phonon
 
 
 # Logical computational basis |g g 0>, |g e 0>, |e g 0>, |e e 0>.
@@ -86,10 +61,9 @@ def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DensityMatrix:
-    """Complex Hermitian unit-trace matrix, optionally with basis labels."""
+    """Complex Hermitian unit-trace matrix."""
 
     matrix: np.ndarray
-    basis: list[BasisLabel] | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)

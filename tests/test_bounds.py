@@ -5,7 +5,6 @@ import pytest
 from decogate.bounds import (
     DEFAULT_FEASIBILITY_THRESHOLD,
     ONE_BIT_ERROR_COEFF,
-    FeasibilityReport,
     ShorScenario,
     assess,
     required_tau,
@@ -98,6 +97,10 @@ def test_scenario_validation():
         ShorScenario(bits=0, **DEFAULTS)
     with pytest.raises(ValueError):
         ShorScenario(bits=4, omega=-1.0, eta=0.1, tau=1e-8)
+    # the Lamb-Dicke parameter lies in (0, 1), as for GateContext
+    for eta in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="Lamb-Dicke"):
+            ShorScenario(bits=4, omega=1e5, eta=eta, tau=1e-8)
 
 
 @pytest.mark.parametrize("field", ["omega", "eta", "tau"])

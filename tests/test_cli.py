@@ -280,6 +280,17 @@ def test_shor_non_finite_parameter_is_usage_error(capsys, flag):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("eta", ["1", "2"])
+def test_shor_eta_outside_the_lamb_dicke_range_is_usage_error(capsys, eta):
+    # the same domain, and the same message, as fidelity --eta
+    for command in (["shor", "--bits", "4"], ["fidelity", "--gate", "two-bit"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--eta", eta])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Lamb-Dicke parameter must be in (0, 1)" in captured.err
+
+
 def test_sweep_fit_at_tiny_noise(capsys):
     # Omega*tau from 1e-16 to 1e-13: 1-F stays positive and quadratic in the
     # fractional area error
@@ -379,6 +390,17 @@ def test_evolve_malformed_matrix_names_position(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "row 0" in err and "column 1" in err
+
+
+def test_evolve_boolean_hamiltonian_entry_is_usage_error(tmp_path, capsys):
+    # JSON true and false are not numbers, though Python's bool is an int
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps([[[True, False], [0, 0]], [[0, 0], [False, False]]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--hamiltonian", str(h), "--t", "1e-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "row 0, column 0: expected [re, im]" in captured.err
 
 
 def test_evolve_non_hermitian_is_usage_error(tmp_path):

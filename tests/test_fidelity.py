@@ -23,12 +23,10 @@ from decogate.fidelity import (
     Method,
     closed_one_bit_tensor,
     closed_two_bit_tensor,
-    contract_fidelity,
     f0000_one_bit,
     fidelity_mc_two_bit,
     fidelity_one_bit,
     fidelity_two_bit,
-    fractional_error,
     mc_two_bit_tensor,
     pulse_distributions,
     quad_two_bit_tensor,
@@ -47,6 +45,23 @@ from decogate.statemath import LOGICAL_INDICES, validate_density
 
 CTX = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8)  # Omega*tau = 1e-3
 T_PI = math.pi / CTX.omega
+
+
+def contract_fidelity(tensor: FidelityTensor, w_diag: float, w_off: float) -> float:
+    """The literal contraction F = w_diag * sum_i F[i,i,i,i] + w_off *
+    sum_{i != j} (F[i,i,j,j] + F[j,i,i,j]), the reference for the library's
+    moment sums."""
+    v = tensor.values
+    n = v.shape[0]
+    total = 0.0 + 0.0j
+    for i in range(n):
+        total += w_diag * v[i, i, i, i]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += w_off * (v[i, i, j, j] + v[j, i, i, j])
+    assert abs(total.imag) <= 1e-10, f"fidelity contraction is not real: {total}"
+    return float(total.real)
 
 
 def ctx_at_op_tau(op_tau: float) -> GateContext:
@@ -182,18 +197,6 @@ def test_pulse_area_spread_ratio():
     assert ratio == pytest.approx(math.sqrt(CTX.n_ions) / CTX.eta, rel=1e-12)
 
 
-def test_fractional_error():
-    assert fractional_error(1e-4, 1e-8) == pytest.approx(1e-2, rel=1e-12)
-    assert fractional_error(1e-4, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("t, tau", [(math.nan, 1e-8), (math.inf, 1e-8), (1e-4, math.nan),
-                                    (1e-4, math.inf), (0.0, 1e-8), (1e-4, -1e-8)])
-def test_fractional_error_rejects_out_of_domain(t, tau):
-    with pytest.raises(ValueError):
-        fractional_error(t, tau)
-
-
 # --- oracle agreement --------------------------------------------------------
 
 
@@ -281,7 +284,7 @@ def test_closed_two_bit_tensor_knows_exactly_the_contracted_entries():
     for idx in map(tuple, np.argwhere(tensor.known)):
         values = tensor.values.copy()
         values[idx] += 1.0
-        bumped = FidelityTensor(4, values, tensor.known)
+        bumped = FidelityTensor(values, tensor.known)
         assert contract_fidelity(bumped, TWO_BIT_W_DIAG, TWO_BIT_W_OFF) != base
 
 

@@ -13,9 +13,15 @@ from decogate.gates import (
     coupled_pairs,
     ideal_two_bit_gate,
     one_bit_unitary,
-    pulse_unitary,
+    pulse_parts,
 )
 from decogate.statemath import LOGICAL_INDICES, basis_index
+
+
+def pulse_unitary(step: PulseStep, area: float) -> np.ndarray:
+    """The dense 18x18 pulse unitary U(A) = q + cos(A/2) r + sin(A/2) b."""
+    q, r, b = pulse_parts(step)
+    return q + math.cos(0.5 * area) * r + math.sin(0.5 * area) * b
 
 
 ALL_STEPS = [
@@ -132,9 +138,7 @@ def test_ideal_two_bit_gate_sign_structure():
 @pytest.mark.parametrize("call, name", [
     (lambda x: one_bit_unitary(x, 0.3), "area"),
     (lambda x: one_bit_unitary(0.7, x), "phi"),
-    (lambda x: pulse_unitary(UNIVERSAL_SEQUENCE[0], x), "area"),
-    (lambda x: pulse_unitary(PulseStep(1, 0, math.pi, phase=x), 0.7), "phase"),
-], ids=["one_bit_area", "one_bit_phi", "pulse_area", "pulse_phase"])
+], ids=["one_bit_area", "one_bit_phi"])
 def test_gate_unitaries_reject_non_finite_inputs(call, name, bad):
     with pytest.raises(ValueError, match=name):
         call(bad)

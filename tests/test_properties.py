@@ -19,9 +19,9 @@ from decogate.bounds import ShorScenario, assess
 from decogate.decoherence import (
     MIN_MC_SAMPLES,
     averaged_phase_factor,
-    decay_rates,
     evolve_energy_basis,
     gamma_char,
+    gap_exponents,
     kernel_integrals,
 )
 from decogate.dynamics import HamiltonianSpec, compare_evolutions
@@ -98,7 +98,7 @@ def test_closed_two_bit_tensor_known_entries(omega, tau):
 @given(omega=FINITE, t=FINITE, tau=TAU)
 def test_kernels_rates_and_phase_factor(omega, t, tau):
     finite_or_value_error(lambda: list(vars(kernel_integrals(t, omega, tau)).values()))
-    finite_or_value_error(lambda: list(vars(decay_rates(omega, tau)).values()))
+    finite_or_value_error(lambda: gap_exponents(np.array([[0.0, omega], [-omega, 0.0]]), tau))
     finite_or_value_error(lambda: averaged_phase_factor(omega, t, tau))
 
 

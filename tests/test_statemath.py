@@ -4,24 +4,17 @@ import pytest
 from decogate.statemath import (
     ION_LEVELS,
     LOGICAL_INDICES,
-    BasisLabel,
     DensityMatrix,
     basis_index,
     hermitian_eigen,
-    two_bit_basis,
     validate_density,
 )
 
 
 def test_basis_ordering():
-    basis = two_bit_basis()
-    assert len(basis) == 18
-    # index = (i1*3 + i2)*2 + phonon with levels ordered (g, e, ep)
-    for idx, label in enumerate(basis):
-        assert label.index == idx
-        i1 = ION_LEVELS.index(label.ion1_level)
-        i2 = ION_LEVELS.index(label.ion2_level)
-        assert (i1 * 3 + i2) * 2 + label.phonon == idx
+    # index = (i1*3 + i2)*2 + phonon with levels ordered (g, e, ep), phonon fastest
+    labels = [(l1, l2, ph) for l1 in ION_LEVELS for l2 in ION_LEVELS for ph in (0, 1)]
+    assert [basis_index(*label) for label in labels] == list(range(18))
 
 
 def test_basis_index_matches_labels():
@@ -34,12 +27,8 @@ def test_basis_index_matches_labels():
 
 def test_logical_indices_are_computational_zero_phonon():
     assert LOGICAL_INDICES == (0, 2, 6, 8)
-    basis = two_bit_basis()
-    for idx in LOGICAL_INDICES:
-        label = basis[idx]
-        assert label.phonon == 0
-        assert label.ion1_level in ("g", "e")
-        assert label.ion2_level in ("g", "e")
+    logical = (basis_index(l1, l2, 0) for l1 in ("g", "e") for l2 in ("g", "e"))
+    assert tuple(logical) == LOGICAL_INDICES
 
 
 def test_basis_index_rejects_bad_labels():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import decogate.decoherence
-from decogate.fidelity import Method, fidelity_one_bit, fidelity_two_bit, fractional_error
+from decogate.fidelity import Method, fidelity_one_bit, fidelity_two_bit
 from decogate.gates import GateContext
 from decogate.sweep import SweepSpec, fit_loglog_slope, run_sweep
 
@@ -104,7 +104,7 @@ def test_analytic_rows_match_per_point_queries(gate):
         res = fidelity_one_bit(t_ref, ctx) if gate == "one_bit" else fidelity_two_bit(ctx)
         assert row.one_minus_f == pytest.approx(res.one_minus_f, rel=1e-15, abs=0)
         assert row.omega_tau == scale * row.tau
-        assert row.fractional_error == fractional_error(t_ref, row.tau)
+        assert row.fractional_error == math.sqrt(row.tau / t_ref)
         assert row.stderr == 0.0
 
 
