@@ -14,7 +14,6 @@ _SUBMODULE_EXPORTS = {
         "DegenerateDistributionError",
         "KernelValues",
         "averaged_phase_factor",
-        "evolve_energy_basis",
         "gamma_char",
         "kernel_integrals",
         "mc_average",

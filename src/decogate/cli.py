@@ -185,9 +185,12 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_shor(args, parser) -> int:
+    ions_given = args.ions is not None
     _resolve(args, parser)
     if args.bits < 1:
         parser.error("--bits must be at least 1")
+    if ions_given:
+        print(f"warning: shor ignores --ions: an L-bit register has 5L = {5 * args.bits} ions", file=sys.stderr)
     try:
         report = assess(ShorScenario(args.bits, args.omega, args.eta, args.tau), args.threshold)
     except ValueError as exc:

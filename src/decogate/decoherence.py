@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statemath import DensityMatrix
-
 QUAD_ABS_TOL = 1e-12
 # Gauss rules of 8, 16, ..., 512 nodes; the oracles mostly stop at 16 or 32.
 # Shapes below 4 use Gauss-Jacobi on [0, 50] instead of Gauss-Laguerre;
@@ -188,29 +186,6 @@ def gap_exponents(gaps: np.ndarray, tau: float) -> np.ndarray:
     z = log_modulus + 1j * angle
     np.fill_diagonal(z, 0.0)
     return z
-
-
-def evolve_energy_basis(
-    rho0: DensityMatrix, energies, t: float, tau: float
-) -> DensityMatrix:
-    """Averaged evolution in the energy eigenbasis.
-
-    rho_{n,m}(t) = e^{-gamma_{n,m} t} e^{-i nu_{n,m} t} rho_{n,m}(0) with
-    omega_{n,m} = E_n - E_m (gap_exponents).  Diagonal elements are preserved
-    bitwise.
-    """
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (rho0.dim,):
-        raise ValueError(
-            f"energies length {energies.shape} does not match dimension {rho0.dim}"
-        )
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    gaps = energies[:, None] - energies[None, :]
-    z = gap_exponents(gaps, tau)
-    # |z| <= |omega|, so a finite omega t keeps t z finite
-    _check_products(gaps, t)
-    return DensityMatrix(rho0.matrix * np.exp(t * z))
 
 
 @dataclass(frozen=True)

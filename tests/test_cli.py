@@ -186,6 +186,15 @@ def test_shor_four_bit_report(capsys):
     assert doc["feasible"] is False
 
 
+def test_shor_says_on_stderr_that_it_ignores_ions(capsys):
+    # an L-bit register has 5L ions; the flag changes neither stdout nor the exit code
+    _, plain = run(capsys, "shor", "--bits", "4")
+    code = main(["shor", "--bits", "4", "--ions", "7"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == plain
+    assert "--ions" in captured.err and len(captured.err.splitlines()) == 1
+
+
 def test_shor_at_tau_zero_writes_a_null_decoherence_time(capsys):
     code, out = run(capsys, "shor", "--bits", "4", "--tau", "0")
     assert code == 0

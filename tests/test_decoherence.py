@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from decogate import decoherence
+from decogate import decoherence, validate
 from decogate.decoherence import (
+    MIN_MC_SAMPLES,
     AreaDistribution,
     DegenerateDistributionError,
     averaged_phase_factor,
     deviation_char,
-    evolve_energy_basis,
     gamma_char,
     gap_exponents,
     gauss_average,
@@ -22,6 +22,7 @@ from decogate.decoherence import (
     quad_average,
     sample_area,
 )
+from decogate.dynamics import HamiltonianSpec, exact_map
 from decogate.fidelity import _u
 from decogate.statemath import DensityMatrix
 
@@ -211,6 +212,19 @@ def test_sampler_gaussian_limit_skewness():
     assert abs(np.mean(z**3)) < 0.05
 
 
+def test_sampler_moments_check_passes_at_the_fewest_samples():
+    # the variance's 6 standard errors at n = 1000, not a fixed 5%
+    assert all(validate.check_sampler_moments(MIN_MC_SAMPLES, seed).passed for seed in range(200))
+
+
+def test_sampler_moments_check_fails_on_a_variance_only_fault(monkeypatch):
+    # shape x 1.03, scale / 1.03: the mean is exact and the variance 2.9% low
+    monkeypatch.setattr(validate, "sample_area",
+                        lambda d, rng, n: rng.gamma(d.shape * 1.03, d.scale / 1.03, size=n))
+    for seed in range(3):
+        assert not validate.check_sampler_moments(1_000_000, seed).passed
+
+
 # --- Gamma characteristic function ---------------------------------------
 
 _bad_scale = st.one_of(
@@ -250,7 +264,8 @@ def test_gamma_char_finite_with_modulus_at_most_one(omega, t, tau):
     [
         lambda tau, omega: averaged_phase_factor(omega, 1e-4, tau),
         lambda tau, omega: gap_rates(omega, tau),
-        lambda tau, omega: evolve_energy_basis(DensityMatrix(np.eye(2) / 2), [0.0, omega], 1e-4, tau),
+        # the exponents exact_map takes for a two-level H = diag(0, omega)
+        lambda tau, omega: gap_exponents(np.array([[0.0, -omega], [omega, 0.0]]), tau),
         lambda tau, omega: kernel_integrals(1e-4, omega, tau),
     ],
 )
@@ -266,9 +281,6 @@ def test_gamma_char_finite_with_modulus_at_most_one(omega, t, tau):
     ],
     ids=["nan", "inf", "-1e-08", "omega=nan", "omega=inf", "omega=-inf"],
 )
-# an infinite energy makes numpy warn on the inf - inf gap before gamma_char
-# rejects it; the error is what is tested
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_closed_forms_reject_bad_tau(closed_form, tau, omega, bad):
     with pytest.raises(ValueError, match=bad):
         closed_form(tau, omega)
@@ -279,7 +291,7 @@ def test_gamma_char_does_not_overflow_at_huge_omega_tau():
     # accuracy at large omega tau is pinned in test_mpmath_oracle
     assert gamma_char(1e200, 0.0, 1.0) == (0.0, 0.0)
     assert gap_rates(1e200, 1.0)[0] == pytest.approx(math.log(1e200), rel=1e-15)
-    # omega = 0, as on evolve_energy_basis' diagonal
+    # omega = 0, as on gap_exponents' diagonal
     assert gamma_char(np.zeros(3), 1.0, 1.0)[0].tolist() == [0.0, 0.0, 0.0]
 
 
@@ -429,20 +441,20 @@ def test_decay_rates_delta_limit():
     assert gamma == 0.0 and nu == 1e5
 
 
+# evolution in the energy basis: the exact map of a diagonal H
 def test_evolve_energy_basis_preserves_diagonal_bitwise():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    out = evolve_energy_basis(DensityMatrix(rho), np.array([0.0, 1e4, 5e4]), 1e-4, 1e-7)
+    out = exact_map(HamiltonianSpec(np.diag([0.0, 1e4, 5e4])), DensityMatrix(rho), 1e-4, 1e-7)
     assert np.array_equal(np.diag(out.matrix), np.diag(rho))
 
 
 def test_evolve_energy_basis_offdiagonal_decay():
     rho = 0.5 * np.ones((2, 2), dtype=complex)
-    energies = np.array([0.0, 1e5])
     t, tau = 1e-4, 1e-7
-    out = evolve_energy_basis(DensityMatrix(rho), energies, t, tau)
+    out = exact_map(HamiltonianSpec(np.diag([0.0, 1e5])), DensityMatrix(rho), t, tau)
     expected = 0.5 * averaged_phase_factor(1e5, t, tau).conjugate()
     # rho_{01} evolves with omega_{01} = E_0 - E_1 = -1e5
     assert out.matrix[0, 1] == pytest.approx(expected, rel=1e-12)
