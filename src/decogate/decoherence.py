@@ -143,8 +143,14 @@ def deviation_char(omega, t: float, tau):
     come from their series' first terms: the log modulus is -(omega t) x / 2,
     as gamma_char's loses x^2 to underflow below about x = 1e-154, and the
     angle is (2/3) x times it, as subtracting omega t would leave the
-    angle's rounding (about 1e-32 in a 1 - F)."""
+    angle's rounding (about 1e-32 in a 1 - F).  A scalar tau that is not
+    the delta and has no |x| below 1e-8 returns gamma_char's angle less
+    omega t at once: those bits, without the series branch's array work."""
     log_modulus, angle = gamma_char(omega, t, tau)
+    if not (isinstance(tau, np.ndarray) or _delta(t, tau)):
+        # |omega| tau is |omega tau| exactly: the least |omega| gives the least |x|
+        if min(map(abs, np.ravel(omega).tolist())) * tau >= 1e-8:
+            return log_modulus, angle - np.multiply(omega, t)
     x = np.multiply.outer(omega, tau)
     # where the series' second terms are under the rounding, unless gamma_char took the delta
     small = (np.abs(x) < 1e-8) & ~_delta(t, tau)
@@ -284,7 +290,9 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for Gamma(k, 1) in the standardised variable
     y = (x - k)/sqrt(k), with weights summing to 1, by Golub & Welsch (Math.
     Comp. 23, 1969): the Jacobi matrix's eigenvalues and the squared first
-    components of its eigenvectors.  Cached, so both arrays are read-only.
+    components of its eigenvectors.  The matrix holds only its diagonal and
+    the band below it, the lower triangle that eigh reads.  Cached, so both
+    arrays are read-only.
 
     k >= 4: generalised Laguerre, weight x^(k-1) e^-x.  k < 4: Gauss-Jacobi
     for the weight x^(k-1) on [0, 50], with e^-x moved into the weights and
@@ -299,7 +307,9 @@ def _gamma_rule(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         # b + 2, i + b and s +- 1 from k: from b, i = 1 rounds them to 0 at k < 2^-52
         diag = np.concatenate(([b / (k + 1)], b * b / (s * (s + 2))))
         off = 2 * i * (i - 1 + k) / (s * np.sqrt((2 * i + k) * (2 * (i - 1) + k)))
-    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    jacobi = np.zeros((n, n))
+    jacobi.flat[::n + 1], jacobi.flat[n::n + 1] = diag, off
+    nodes, vecs = np.linalg.eigh(jacobi)
     if k >= _JACOBI_MAX_SHAPE:
         y, w = nodes, vecs[0] ** 2
     else:
@@ -336,8 +346,8 @@ def gauss_average(f, d: AreaDistribution):
     prev = estimate(_GAUSS_NODES[0])
     for n in _GAUSS_NODES[1:]:
         cur = estimate(n)
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= QUAD_ABS_TOL * max(1.0, float(np.max(np.abs(cur)))):
+        err = float(np.abs(cur - prev).max())
+        if err <= QUAD_ABS_TOL * max(1.0, float(np.abs(cur).max())):
             return cur, err
         prev = cur
     raise RuntimeError(

@@ -22,10 +22,13 @@ two-bit K's 8.  The closed form and the quadrature oracle average the same
 sum: with independent areas, E[w_k w_l] = prod_p M_p[codes[k, p], codes[l,
 p]] for one moment matrix M_p = E[u u^T] per pulse, so 1 - F is the average
 of (K K^T)[k, l], and a fidelity tensor that of T[k] conj(T[l]) on the
-logical block (`_contract_moments`).  The two differ only in M_p: closed
-forms on `deviation_char`, the characteristic function of the deviation
-from the mean area, or the Gauss rule on that deviation, each reading the
-distribution's decision whether it is the delta at its mean.
+logical block (`_contract_moments`).  Each M_p is symmetric, and pulses of
+equal duration have equal M_p, so pairs (k, l) that read the same entries
+add their weights first: merged monomials (`_moment_pairs`).  The two
+differ only in M_p: closed forms on `deviation_char`, the characteristic
+function of the deviation from the mean area, or the Gauss rule on that
+deviation, each reading the distribution's decision whether it is the
+delta at its mean.
 """
 
 from __future__ import annotations
@@ -175,24 +178,37 @@ def _infidelity_kernel(table, w_diag: float, w_off: float) -> _Kernel:
     return _Kernel(codes[rows], k, _rank_factor(k))
 
 
-def _moment_pairs(codes, weights):
+def _moment_pairs(codes, weights, classes):
     """(pairs, W) with sum_kl G[k,l] weights[k,l] = sum_t W[t] prod_p
-    M_p.flat[pairs[p, t]], G[k,l] = prod_p M_p[codes[k,p], codes[l,p]], for
-    symmetric M_p: over k <= l, W = weights[k,l] + weights[l,k] (once at k = l)."""
-    n = len(codes)
-    merged = weights + np.swapaxes(weights, 0, 1)
-    merged[np.diag_indices(n)] = weights[np.diag_indices(n)]
-    k, l = np.nonzero(np.triu(np.abs(merged).reshape(n, n, -1).max(axis=-1) > _ROUNDING))
-    return (3 * codes[k] + codes[l]).T, merged[k, l]
+    M_p[e(p, t)], G[k,l] = prod_p M_p[codes[k,p], codes[l,p]], for symmetric
+    M_p that are equal on the pulses of one class (classes[p]), as merged
+    monomials: each (k, l) is keyed by the upper entry e = (min, max) of
+    (codes[k,p], codes[l,p]) that it reads of each M_p, the keys of the
+    pulses of one class sorted, and equal keys add their weights.  A
+    monomial whose weights are as small as the rounding is dropped.
+    pairs[p, t] is where M_p[e(p, t)] lies in the flattened (3, 3, pulses)
+    moments of `_contract_moments`."""
+    n, pulses = codes.shape
+    a, b = codes[:, None], codes[None]
+    keys = (3 * np.minimum(a, b) + np.maximum(a, b)).reshape(n * n, pulses)
+    for c in set(classes):
+        same = [p for p in range(pulses) if classes[p] == c]
+        keys[:, same] = np.sort(keys[:, same], axis=1)
+    _, first, inverse = np.unique(keys @ 9 ** np.arange(pulses), return_index=True, return_inverse=True)
+    merged = np.zeros((len(first),) + weights.shape[2:], weights.dtype)
+    np.add.at(merged, inverse, weights.reshape((n * n,) + weights.shape[2:]))
+    keep = np.abs(merged).reshape(len(first), -1).max(axis=1) > _ROUNDING
+    return (keys[first[keep]] * pulses + np.arange(pulses)).T, merged[keep]
 
 
 def _contract_moments(pairs, moments):
-    """sum_kl G[k,l] weights[k,l] for pairs = _moment_pairs(codes, weights) and
-    one symmetric (3, 3, ...) M_p per pulse, summed by halving: elementwise, so
-    an array of M_p gives bitwise the sums of its entries (BLAS would not)."""
-    pairs, w = pairs
-    g = functools.reduce(np.multiply, (np.take(m.reshape((9,) + m.shape[2:]), p, axis=0)
-                                       for m, p in zip(moments, pairs)))
+    """sum_kl G[k,l] weights[k,l] for pairs = _moment_pairs(codes, weights,
+    classes) and moments of shape (3, 3, pulses) + shape, the symmetric M_p
+    at [:, :, p]: one gather of each monomial's entries and one product over
+    the pulses, then summed by halving: elementwise, so an array of M_p gives
+    bitwise the sums of its entries (BLAS would not)."""
+    index, w = pairs
+    g = np.multiply.reduce(moments.reshape((-1,) + moments.shape[3:]).take(index, axis=0))
     terms = w.reshape(w.shape + (1,) * (g.ndim - 1)) * g.reshape(g.shape[:1] + (1,) * (w.ndim - 1) + g.shape[1:])
     n = len(terms)
     while n > 1:
@@ -201,13 +217,13 @@ def _contract_moments(pairs, moments):
     return terms[0]
 
 
-def _tensor_pairs(table, entries=...):
+def _tensor_pairs(table, classes, entries=...):
     """The moment pairs of the fidelity tensor F[i', i, j', j] = E[amp[i, j']
     conj(amp[i', j])], amp = w(delta) @ T on the table's logical block, at
     `entries` of the tensor: sum_kl G[k,l] T[k, i, j'] conj(T[l, i', j])."""
     codes, t = table
     t = t[:, :, :t.shape[1]]
-    return _moment_pairs(codes, np.einsum("kab,lcd->klcabd", t, t.conj())[:, :, entries])
+    return _moment_pairs(codes, np.einsum("kab,lcd->klcabd", t, t.conj())[:, :, entries], classes)
 
 
 # --------------------------------------------------------------------------
@@ -288,40 +304,57 @@ class _Gate(NamedTuple):
         """The pulses' area distributions at noise tau."""
         return tuple(AreaDistribution(t, tau, self.omega) for t in self.times)
 
+    def classes(self) -> tuple:
+        """Each pulse's first pulse of equal duration: pulses of equal
+        duration have bitwise-equal moments, closed or Gauss-rule."""
+        return tuple(map(self.times.index, self.times))
+
 
 @functools.cache
-def _infidelity_pairs(kernel_of):
-    """K K^T of kernel_of()'s kernel as moment pairs: 1 - F = sum G (K K^T)."""
+def _infidelity_pairs(kernel_of, classes):
+    """K K^T of kernel_of()'s kernel as moment pairs for pulses of the
+    classes: 1 - F = sum G (K K^T)."""
     codes, k, _ = kernel_of()
-    return _moment_pairs(codes, k @ k.T)
+    return _moment_pairs(codes, k @ k.T, classes)
 
 
-def _closed_moments(gate: _Gate, tau) -> list:
-    """Per pulse of the gate, E[u(d) u(d)^T] as (3, 3) + tau.shape for the
-    area deviation d, from E sin and E[1 - cos] of d and d/2: the first
-    pulse's characteristic function (`deviation_char`) to the power times[p]
-    / times[0], exact for a Gamma (and 1 for the first, even of duration 0).
-    E[sin^2(d/2)] = E[1 - cos d]/2, E[sin(d/2) (1 - cos(d/2))] = E sin(d/2) -
-    E[sin d]/2 and E[(1 - cos(d/2))^2] = 2 E[1 - cos(d/2)] - E[1 - cos d]/2."""
-    times, s, shape = gate.times, np.array([1.0, 0.5]), (1,) * np.ndim(tau)
-    log_modulus, angle = deviation_char(s * gate.omega, times[0], tau)
-    powers = np.reshape([1.0] + [t / times[0] for t in times[1:]], (-1,) + shape)
+def _closed_moments(gate: _Gate, tau) -> np.ndarray:
+    """The pulses' E[u(d) u(d)^T] as (3, 3, pulses) + tau.shape, the p-th at
+    [:, :, p], for the area deviation d, from E sin and E[1 - cos] of d and
+    d/2: the first pulse's characteristic function (`deviation_char`) to the
+    power times[p] / times[0], exact for a Gamma (and 1 for the first, even
+    of duration 0).  E[sin^2(d/2)] = E[1 - cos d]/2, E[sin(d/2) (1 -
+    cos(d/2))] = E sin(d/2) - E[sin d]/2 and E[(1 - cos(d/2))^2] = 2 E[1 -
+    cos(d/2)] - E[1 - cos d]/2."""
+    times = gate.times
+    log_modulus, angle = deviation_char(np.array([gate.omega, 0.5 * gate.omega]), times[0], tau)
+    powers = np.array([1.0] + [t / times[0] for t in times[1:]])
+    if isinstance(tau, np.ndarray):
+        powers = powers.reshape(powers.shape + (1,) * tau.ndim)
     log_modulus, angle = log_modulus[:, None] * powers, angle[:, None] * powers
     sin_full, sin_half = np.exp(log_modulus) * np.sin(angle)
     vers_full, vers_half = one_minus_re(log_modulus, angle)
-    ss, sv, vv = 0.5 * vers_full, sin_half - 0.5 * sin_full, 2.0 * vers_half - 0.5 * vers_full
-    m = np.array([np.ones_like(ss), sin_half, vers_half, sin_half, ss, sv, vers_half, sv, vv])
-    return [m.reshape((3, 3) + ss.shape)[:, :, p] for p in range(len(ss))]
+    m = np.empty((3, 3) + sin_half.shape)
+    m[0, 0] = 1.0
+    m[0, 1] = m[1, 0] = sin_half
+    m[0, 2] = m[2, 0] = vers_half
+    m[1, 1] = 0.5 * vers_full
+    m[1, 2] = m[2, 1] = sin_half - 0.5 * sin_full
+    m[2, 2] = 2.0 * vers_half - 0.5 * vers_full
+    return m
 
 
-def _gauss_moments(dists) -> list:
-    """Per pulse distribution, E[u(delta) u(delta)^T] by the Gauss rule on
-    the deviation from the mean, once per distinct distribution."""
+def _gauss_moments(dists) -> np.ndarray:
+    """The pulse distributions' E[u(delta) u(delta)^T] as (3, 3, pulses),
+    by the Gauss rule on the deviation from the mean, once per distinct
+    distribution."""
     def products(dev):
-        u = np.stack([np.ones_like(dev), *_u(dev)], axis=-1)
+        u = np.empty((len(dev), 3))
+        u[:, 0] = 1.0
+        _u(dev, out=(u[:, 1], u[:, 2]))
         return u[:, :, None] * u[:, None, :]
     moments = {d: gauss_average(products, d)[0] for d in set(dists)}
-    return [moments[d] for d in dists]
+    return np.stack([moments[d] for d in dists], axis=2)
 
 
 def _infidelity(gate: _Gate, tau, method: Method, n_samples: int = 1_000_000,
@@ -337,7 +370,7 @@ def _infidelity(gate: _Gate, tau, method: Method, n_samples: int = 1_000_000,
         if method is Method.MONTE_CARLO:
             return _mc_moments(dists, _kernel_statistic(gate.kernel_of()), n_samples, rng)
         moments = _gauss_moments(dists)
-    return _contract_moments(_infidelity_pairs(gate.kernel_of), moments), 0.0
+    return _contract_moments(_infidelity_pairs(gate.kernel_of, gate.classes()), moments), 0.0
 
 
 def _gate_fidelity(gate: _Gate, ctx: GateContext, method, n_samples: int,
@@ -360,7 +393,7 @@ ONE_BIT_W_OFF = 1.0 / 8.0
 def f0000_one_bit(t: float, ctx: GateContext) -> float:
     """Closed form of the averaged overlap E[cos^2((A - Omega t)/2)], the
     single independent tensor element of the one-bit gate: 1 - E[sin^2(delta/2)]."""
-    return 1.0 - float(_closed_moments(_one_bit_gate(t, ctx), ctx.tau)[0][1, 1])
+    return 1.0 - float(_closed_moments(_one_bit_gate(t, ctx), ctx.tau)[1, 1, 0])
 
 
 def _one_bit_table(phi: float):
@@ -373,8 +406,9 @@ def closed_one_bit_tensor(t: float, ctx: GateContext) -> FidelityTensor:
     """Full 2x2x2x2 fidelity tensor of the carrier rotation."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
-    moments = _closed_moments(_one_bit_gate(t, ctx), ctx.tau)
-    return FidelityTensor.full(_contract_moments(_tensor_pairs(_one_bit_table(ctx.phi)), moments))
+    gate = _one_bit_gate(t, ctx)
+    return FidelityTensor.full(_contract_moments(_tensor_pairs(_one_bit_table(ctx.phi), gate.classes()),
+                                                 _closed_moments(gate, ctx.tau)))
 
 
 @functools.cache
@@ -429,9 +463,9 @@ def _two_bit_kernel():
 
 
 @functools.cache
-def _two_bit_tensor_pairs(known: bool):
+def _two_bit_tensor_pairs(known: bool, classes):
     """The two-bit tensor's moment pairs, on its known entries or on all 256."""
-    return _tensor_pairs(_two_bit_table(), _TWO_BIT_KNOWN if known else ...)
+    return _tensor_pairs(_two_bit_table(), classes, _TWO_BIT_KNOWN if known else ...)
 
 
 def _two_bit_gate(ctx: GateContext) -> _Gate:
@@ -447,9 +481,10 @@ def pulse_distributions(ctx: GateContext) -> tuple[AreaDistribution, ...]:
 
 def closed_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Closed-form two-bit tensor on the entries the gate fidelity reads; NaN elsewhere."""
+    gate = _two_bit_gate(ctx)
     values = np.full((4,) * 4, np.nan, dtype=complex)
-    values[_TWO_BIT_KNOWN] = _contract_moments(_two_bit_tensor_pairs(True),
-                                               _closed_moments(_two_bit_gate(ctx), ctx.tau))
+    values[_TWO_BIT_KNOWN] = _contract_moments(_two_bit_tensor_pairs(True, gate.classes()),
+                                               _closed_moments(gate, ctx.tau))
     return FidelityTensor(values=values, known=_TWO_BIT_KNOWN.copy())
 
 
@@ -495,5 +530,6 @@ def fidelity_mc_two_bit(
 
 def quad_two_bit_tensor(ctx: GateContext) -> FidelityTensor:
     """Quadrature oracle for the two-bit tensor: the Gauss rule's moments."""
-    return FidelityTensor.full(_contract_moments(_two_bit_tensor_pairs(False),
-                                                 _gauss_moments(pulse_distributions(ctx))))
+    gate = _two_bit_gate(ctx)
+    return FidelityTensor.full(_contract_moments(_two_bit_tensor_pairs(False, gate.classes()),
+                                                 _gauss_moments(gate.distributions(ctx.tau))))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,7 @@ class SweepSpec:
             raise ValueError("need at least 2 points")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     tau: float
     omega_tau: float
     fractional_error: float
@@ -74,7 +74,7 @@ def run_sweep(spec: SweepSpec, seed: int = 0) -> list[SweepRow]:
             for tau, child in zip(taus.tolist(), np.random.SeedSequence(seed).spawn(len(taus)))])
     columns = np.column_stack(np.broadcast_arrays(
         taus, gate.omega * taus, np.sqrt(taus / gate.times[0]), one_minus_f, stderr))
-    return [SweepRow(*row) for row in columns.tolist()]
+    return list(map(SweepRow._make, columns.tolist()))
 
 
 def fit_loglog_slope(rows: list[SweepRow]) -> tuple[float, float, float]:

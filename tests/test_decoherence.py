@@ -82,6 +82,20 @@ def test_cached_gauss_rule_is_read_only():
                 array[0] = 0.0
 
 
+@pytest.mark.parametrize("shape", [4.0, 7.5, 31.4, 1e4, 1e10, 1e14])
+def test_laguerre_rule_reproduces_the_gamma_moments_through_degree_five(shape):
+    # an n-point Gauss rule integrates every polynomial of degree up to
+    # 2n - 1 exactly, so it holds the standardized Gamma's moments 1, 0, 1,
+    # 2/sqrt(k), 3 + 6/k and 20/sqrt(k) + 24/k^(3/2).  Shapes below 4 are left
+    # out: their rule is Gauss-Jacobi on [0, 50] with e^-x moved into the
+    # weights, which is not exact for low-degree polynomials.
+    r = math.sqrt(shape)
+    want = [1.0, 0.0, 1.0, 2 / r, 3 + 6 / shape, 20 / r + 24 / (shape * r)]
+    for n in (8, 16, 32, 64):
+        y, w = decoherence._gamma_rule(shape, n)
+        assert np.allclose([w @ y**j for j in range(6)], want, rtol=0.0, atol=1e-12)
+
+
 def _rotated(mean: float, s: float):
     """cos and sin of s (mean + dev), by angle addition: no rounding of a
     large mean + dev."""

@@ -302,8 +302,36 @@ def test_moment_contraction_matches_the_dense_sum(weights):
     moments = [a + a.T for a in rng.normal(size=(3, 3, 3))]
     g = np.prod([m[np.ix_(c, c)] for m, c in zip(moments, codes.T)], axis=0)
     dense = np.tensordot(g, w, axes=2)
-    paired = fidelity_mod._contract_moments(fidelity_mod._moment_pairs(codes, w), moments)
+    paired = fidelity_mod._contract_moments(fidelity_mod._moment_pairs(codes, w, (0, 1, 2)),
+                                            np.stack(moments, axis=2))
     assert np.abs(paired - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def _unmerged_infidelity(gate, tau):
+    """1 - F of the gate as sum_kl (K K^T)[k, l] prod_p M_p[codes[k,p],
+    codes[l,p]] over every (k, l), each pulse on its own closed moments: no
+    monomial is merged.  Summed in long double, so that what is left is the
+    rounding of the library's sum."""
+    codes, k, _ = gate.kernel_of()
+    m, k = fidelity_mod._closed_moments(gate, tau).astype(np.longdouble), k.astype(np.longdouble)
+    g = np.prod([m[:, :, p][np.ix_(c, c)] for p, c in enumerate(codes.T)], axis=0)
+    return np.tensordot(k @ k.T, g, axes=2)
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-12, 1e-8, 1e-5, 1e-3, np.logspace(-12, -3, 2000)])
+def test_merged_monomials_pair_only_pulses_of_equal_duration(tau):
+    # the two-bit kernel on pulses of durations t1, 2 t1, 1.5 t1: pulse 3's
+    # moments are not pulse 1's, so merging their monomials, as the real
+    # gate's equal durations allow, would change 1 - F
+    gate = fidelity_mod._two_bit_gate(CTX)
+    t1 = gate.times[0]
+    odd = gate._replace(times=(t1, 2 * t1, 1.5 * t1))
+    assert (gate.classes(), odd.classes()) == ((0, 1, 0), (0, 1, 2))
+    assert len(fidelity_mod._infidelity_pairs(gate.kernel_of, gate.classes())[1]) == 31
+    for g in (gate, odd):
+        merged, _ = fidelity_mod._infidelity(g, tau, Method.ANALYTIC)
+        want = _unmerged_infidelity(g, tau)
+        assert np.all(np.abs(merged - want) <= 2e-15 * np.abs(want))
 
 
 KERNEL_MOMENTS = {

@@ -7,7 +7,7 @@ import pytest
 import decogate.decoherence
 from decogate.fidelity import Method, fidelity_one_bit, fidelity_two_bit
 from decogate.gates import GateContext
-from decogate.sweep import SweepSpec, fit_loglog_slope, run_sweep
+from decogate.sweep import SweepRow, SweepSpec, fit_loglog_slope, run_sweep
 
 
 CTX = GateContext(omega=1e5, eta=0.1, n_ions=20, tau=1e-8)
@@ -27,6 +27,15 @@ def test_grid_is_logarithmic_and_ascending():
     assert taus[0] == pytest.approx(1e-10) and taus[-1] == pytest.approx(1e-8)
     ratios = [taus[i + 1] / taus[i] for i in range(len(taus) - 1)]
     assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+
+def test_rows_are_immutable_records_of_python_floats():
+    rows = run_sweep(make_spec())
+    assert isinstance(rows, list)
+    assert SweepRow._fields == ("tau", "omega_tau", "fractional_error", "one_minus_f", "stderr")
+    assert all(type(value) is float for row in rows for value in row)
+    with pytest.raises(AttributeError):
+        rows[0].tau = 1.0
 
 
 @pytest.mark.parametrize("gate", ["one_bit", "two_bit"])
